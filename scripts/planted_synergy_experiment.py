@@ -18,12 +18,10 @@ import sys
 import time
 from pathlib import Path
 
-from sqdiv.analytics import pearson
+from sqdiv.analytics import pearson, sweep
 from sqdiv.pool import correctness, model_accuracy
-from sqdiv.scoring import ScoreConfig, score_teams
 from sqdiv.selection import rank_teams
 from sqdiv.synth import default_spec, generate, planted_best_team
-from sqdiv.teams import enumerate_teams, team_accuracy_table
 
 METRICS = ("CK", "BD", "KW", "SQ")
 
@@ -36,16 +34,14 @@ def run_seed(seed, args):
     )
     pool = generate(spec)
     cm = correctness(pool)
-    teams = list(enumerate_teams(pool.n_models))
-    scores = score_teams(pool, cm, teams, list(METRICS), ScoreConfig())
-    accuracy = team_accuracy_table(pool, teams)
-    accs = [accuracy[t.team_key] for t in teams]
+    result = sweep(pool, cm, METRICS)
+    accuracy = result.accuracy
+    correlations = result.correlations(pearson)
 
     row = {"seed": seed}
     for metric in METRICS:
-        values = [scores[metric][t.team_key].value for t in teams]
-        row[f"r_{metric.lower()}"] = pearson(values, accs)
-        top = rank_teams({t: scores[metric][t.team_key] for t in teams}, metric, 1)[0]
+        row[f"r_{metric.lower()}"] = correlations[metric]
+        top = rank_teams(result.scores[metric], metric, 1)[0]
         row[f"top1_{metric.lower()}"] = top.team.team_key
         row[f"top1_{metric.lower()}_acc"] = accuracy[top.team.team_key]
     row["best_single_acc"] = max(model_accuracy(cm, i) for i in range(pool.n_models))

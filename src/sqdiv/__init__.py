@@ -46,11 +46,9 @@ from .sq import (
     EmptyFocalNegativesError,
     FocalResult,
     SQBreakdown,
-    SQConfig,
     multiclass_kappa,
     sq_alpha,
     sq_epsilon,
-    sq_score,
 )
 from .synth import SynthSpec, contiguous_groups, default_spec, generate, planted_best_team
 from .teams import (

@@ -69,6 +69,26 @@ class SweepResult:
     scores: dict
     accuracy: dict
 
+    def rows(self, metric):
+        """One (team_key, team_size, score, accuracy) row per candidate team."""
+        scores = self.scores[metric]
+        return [
+            (key, size, scores[key].value, self.accuracy[key])
+            for key, size in zip(self.team_keys, self.team_sizes)
+        ]
+
+    def correlations(self, estimator):
+        """{metric: estimator(team scores, team accuracies)} for every scored
+        metric; a constant score or accuracy column reports None."""
+        accs = [self.accuracy[k] for k in self.team_keys]
+        report = {}
+        for metric, scores in self.scores.items():
+            try:
+                report[metric] = estimator([scores[k].value for k in self.team_keys], accs)
+            except UndefinedCorrelationError:
+                report[metric] = None
+        return report
+
 
 def sweep(pool, cm, metrics, cfg=ScoreConfig(), consensus_method=SOFT,
           min_size=2, max_size=None):
@@ -87,11 +107,7 @@ def scatter_export(pool, cm, metric, cfg=ScoreConfig(), consensus_method=SOFT,
                    min_size=2, max_size=None):
     """One (team_key, team_size, score, accuracy) row per candidate team."""
     metric = normalize_metric(metric)
-    result = sweep(pool, cm, [metric], cfg, consensus_method, min_size, max_size)
-    return [
-        (key, size, result.scores[metric][key].value, result.accuracy[key])
-        for key, size in zip(result.team_keys, result.team_sizes)
-    ]
+    return sweep(pool, cm, [metric], cfg, consensus_method, min_size, max_size).rows(metric)
 
 
 def correlation_report(pool, cm, metrics, cfg=ScoreConfig(), consensus_method=SOFT,
@@ -101,18 +117,8 @@ def correlation_report(pool, cm, metrics, cfg=ScoreConfig(), consensus_method=SO
     A metric whose scores are constant across teams (or a constant accuracy
     column) has no defined correlation and reports None.
     """
-    metrics = [normalize_metric(m) for m in metrics]
     result = sweep(pool, cm, metrics, cfg, consensus_method, min_size, max_size)
-    accs = [result.accuracy[k] for k in result.team_keys]
-    estimator = spearman if use_spearman else pearson
-    report = {}
-    for metric in metrics:
-        values = [result.scores[metric][k].value for k in result.team_keys]
-        try:
-            report[metric] = estimator(values, accs)
-        except UndefinedCorrelationError:
-            report[metric] = None
-    return report
+    return result.correlations(spearman if use_spearman else pearson)
 
 
 def case_study(pool, team, sample_id, consensus_method=SOFT):

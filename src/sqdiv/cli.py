@@ -282,19 +282,9 @@ def cmd_evaluate(args):
     cm = correctness(pool)
     result = sweep(pool, cm, metrics, cfg, method, int(args.min_size),
                    None if args.max_size is None else int(args.max_size))
-    accs = [result.accuracy[k] for k in result.team_keys]
-    report = {}
-    estimator = spearman if args.spearman else pearson
     for metric in metrics:
-        rows = [
-            (key, size, result.scores[metric][key].value, result.accuracy[key])
-            for key, size in zip(result.team_keys, result.team_sizes)
-        ]
-        _write_scatter(out / f"scatter_{metric.lower()}.csv", rows)
-        try:
-            report[metric] = estimator([r[2] for r in rows], accs)
-        except UndefinedCorrelationError:
-            report[metric] = None
+        _write_scatter(out / f"scatter_{metric.lower()}.csv", result.rows(metric))
+    report = result.correlations(spearman if args.spearman else pearson)
     (out / "correlations.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

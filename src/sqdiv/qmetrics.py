@@ -161,14 +161,48 @@ def _q_pairs(n11, n10, n01, n00):
     return np.where(den == 0, 0.0, num / np.where(den == 0, 1.0, den))
 
 
-def _team_subset(cm, team, subset, metric):
+def classical_scores(sub, metrics):
+    """Score one team's correctness rows with each requested classical metric.
+
+    sub is the team's rows of the correctness matrix restricted to a
+    non-empty evaluation subset (members x samples). The pair contingency
+    counts are computed once and shared by CK, QS and BD; GD and KW share
+    the per-sample count of correct members. Returns {metric: DiversityScore}.
+    """
+    m, n = sub.shape
+    out = {}
+    if any(k in metrics for k in ("CK", "QS", "BD")):
+        n11, n10, n01, n00 = _pair_counts(sub)
+        if "CK" in metrics:
+            kappas = _kappa_pairs(n11, n10, n01, n00)
+            out["CK"] = DiversityScore("CK", float(np.mean(1.0 - kappas)))
+        if "QS" in metrics:
+            out["QS"] = DiversityScore("QS", float(np.mean(_q_pairs(n11, n10, n01, n00))))
+        if "BD" in metrics:
+            out["BD"] = DiversityScore("BD", float(np.mean((n10 + n01) / n)))
+    if "GD" in metrics or "KW" in metrics:
+        correct = sub.sum(axis=0)
+        if "GD" in metrics:
+            wrong = m - correct
+            p1 = float(wrong.mean()) / m
+            if p1 == 0.0:
+                out["GD"] = DiversityScore("GD", 0.0, note="no-failures")
+            else:
+                p2 = float((wrong * (wrong - 1)).mean()) / (m * (m - 1))
+                out["GD"] = DiversityScore("GD", float(1.0 - p2 / p1))
+        if "KW" in metrics:
+            out["KW"] = DiversityScore("KW", float((correct * (m - correct)).sum() / (n * m * m)))
+    return out
+
+
+def _classical(cm, team, subset, metric):
     members = _member_ids(team)
     if len(members) < 2:
         raise ValueError(f"{metric} needs a team of at least 2 members")
     idx = _subset_indices(subset, cm.n_samples)
     if idx.size == 0:
         raise UndefinedDiversityError(metric)
-    return cm.bits[list(members)][:, idx]
+    return classical_scores(cm.bits[list(members)][:, idx], (metric,))[metric]
 
 
 def cohen_kappa_diversity(cm, team, subset):
@@ -177,9 +211,7 @@ def cohen_kappa_diversity(cm, team, subset):
     kappa = 2(n11*n00 - n01*n10) / ((n11+n10)(n10+n00) + (n11+n01)(n01+n00)),
     so the team score lies in [0, 2], 0 meaning perfectly redundant members.
     """
-    sub = _team_subset(cm, team, subset, "CK")
-    kappas = _kappa_pairs(*_pair_counts(sub))
-    return DiversityScore("CK", float(np.mean(1.0 - kappas)))
+    return _classical(cm, team, subset, "CK")
 
 
 def q_statistic(cm, team, subset):
@@ -188,15 +220,12 @@ def q_statistic(cm, team, subset):
     Returned raw (a similarity), so the selection layer treats lower values
     as more diverse.
     """
-    sub = _team_subset(cm, team, subset, "QS")
-    return DiversityScore("QS", float(np.mean(_q_pairs(*_pair_counts(sub)))))
+    return _classical(cm, team, subset, "QS")
 
 
 def binary_disagreement(cm, team, subset):
     """Mean pairwise fraction of subset samples where exactly one is correct."""
-    sub = _team_subset(cm, team, subset, "BD")
-    n11, n10, n01, n00 = _pair_counts(sub)
-    return DiversityScore("BD", float(np.mean((n10 + n01) / sub.shape[1])))
+    return _classical(cm, team, subset, "BD")
 
 
 def generalized_diversity(cm, team, subset):
@@ -206,19 +235,9 @@ def generalized_diversity(cm, team, subset):
     and p(2) the probability two distinct random members both fail it,
     GD = 1 - p(2)/p(1). No failures at all gives 0 with a "no-failures" note.
     """
-    sub = _team_subset(cm, team, subset, "GD")
-    m = sub.shape[0]
-    wrong = m - sub.sum(axis=0)
-    p1 = float(wrong.mean()) / m
-    if p1 == 0.0:
-        return DiversityScore("GD", 0.0, note="no-failures")
-    p2 = float((wrong * (wrong - 1)).mean()) / (m * (m - 1))
-    return DiversityScore("GD", float(1.0 - p2 / p1))
+    return _classical(cm, team, subset, "GD")
 
 
 def kohavi_wolpert(cm, team, subset):
     """Kohavi-Wolpert variance: sum of l(M'-l) over samples / (n * M'^2)."""
-    sub = _team_subset(cm, team, subset, "KW")
-    m = sub.shape[0]
-    l = sub.sum(axis=0)
-    return DiversityScore("KW", float((l * (m - l)).sum() / (sub.shape[1] * m * m)))
+    return _classical(cm, team, subset, "KW")

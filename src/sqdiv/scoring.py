@@ -1,12 +1,12 @@
-"""Metric registry and efficient multi-team scoring sweeps.
+"""Metric registry and the team scorer.
 
-score_team is the single-team entry point; score_teams amortizes the work a
-full candidate sweep repeats per team: the pairwise contingency counts are
-computed once per team and shared by the pairwise metrics, and for the
-synergy metric the focal negative sets and per-focal pair statistics depend
-only on the focal model (never on the rest of the team), so they are built
-once per pool and reused across all candidate teams. Both paths evaluate
-the same formula helpers, so sweep scores equal single-team scores.
+score_teams is the only scorer; score_team is score_teams run on one team.
+Per team it slices the correctness rows once and hands them to
+qmetrics.classical_scores, which shares the pair contingency counts among
+the pairwise metrics. For the synergy metric the focal negative sets and
+per-focal pair statistics depend only on the focal model (never on the rest
+of the team), so they are built once per call, over the models that appear
+in the requested teams, and reused across all of them.
 
 Direction is metadata here: Yule's Q is a similarity (lower means more
 diverse); every other score is higher-is-diverse. Callers never need to
@@ -16,23 +16,22 @@ know.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from . import qmetrics
 from .qmetrics import (
     ANY_MEMBER_ERRS,
     FOCAL_ERRS,
     DiversityScore,
     UndefinedDiversityError,
     _member_ids,
-    _pair_counts,
-    _kappa_pairs,
-    _q_pairs,
     _subset_indices,
+    classical_scores,
     negative_samples,
 )
-from .sq import FocalResult, SQBreakdown, SQConfig, multiclass_kappa, sq_score
+from .sq import FocalResult, SQBreakdown, sq_alpha, sq_epsilon
+from .teams import EnsembleTeam, make_team
 
 METRICS = ("CK", "QS", "BD", "GD", "KW", "SQ")
 
@@ -46,14 +45,6 @@ _DIRECTIONS = {
     "GD": HIGHER_IS_DIVERSE,
     "KW": HIGHER_IS_DIVERSE,
     "SQ": HIGHER_IS_DIVERSE,
-}
-
-_Q_FUNCS = {
-    "CK": qmetrics.cohen_kappa_diversity,
-    "QS": qmetrics.q_statistic,
-    "BD": qmetrics.binary_disagreement,
-    "GD": qmetrics.generalized_diversity,
-    "KW": qmetrics.kohavi_wolpert,
 }
 
 
@@ -72,8 +63,12 @@ def metric_direction(metric):
 class ScoreConfig:
     """One bundle of scoring knobs shared by every metric.
 
-    use_full_set evaluates the classical metrics on all samples instead of
-    the team's negative samples.
+    w_epsilon and w_alpha weight the two SQ components and must be
+    non-negative. negative_cap, when set, caps every negative sample set at
+    a uniform subset of that size drawn from seed. use_full_set evaluates
+    the classical metrics on all samples instead of the team's negative
+    samples. alpha_on_labels switches SQ's agreement component between
+    predicted labels (default) and correctness outcomes.
     """
 
     w_epsilon: float = 1.0
@@ -83,14 +78,11 @@ class ScoreConfig:
     use_full_set: bool = False
     alpha_on_labels: bool = True
 
-    def sq_config(self):
-        return SQConfig(
-            w_epsilon=self.w_epsilon,
-            w_alpha=self.w_alpha,
-            negative_cap=self.negative_cap,
-            seed=self.seed,
-            alpha_on_labels=self.alpha_on_labels,
-        )
+    def __post_init__(self):
+        if self.w_epsilon < 0 or self.w_alpha < 0:
+            raise ValueError("weights must be non-negative")
+        if self.negative_cap is not None and self.negative_cap < 1:
+            raise ValueError("negative_cap must be a positive integer")
 
 
 def _q_subset(cm, team, cfg):
@@ -102,54 +94,52 @@ def _q_subset(cm, team, cfg):
 
 
 def score_team(pool, cm, team, metric, cfg=ScoreConfig()):
-    """Score one team with one metric; raises UndefinedDiversityError when
-    the classical metrics have no negative samples to work with."""
+    """Score one team with one metric: score_teams on a single team.
+
+    team is an EnsembleTeam or a sequence of member ids. Raises
+    UndefinedDiversityError when the classical metrics have no negative
+    samples to work with.
+    """
+    if not isinstance(team, EnsembleTeam):
+        team = make_team(team, cm.n_models)
     metric = normalize_metric(metric)
-    if metric == "SQ":
-        breakdown = sq_score(pool, cm, team, cfg.sq_config())
-        note = "all-focals-skipped" if breakdown.all_skipped else None
-        return DiversityScore("SQ", breakdown.aggregate, detail=breakdown, note=note)
-    return _Q_FUNCS[metric](cm, team, _q_subset(cm, team, cfg))
+    return score_teams(pool, cm, [team], [metric], cfg)[metric][team.team_key]
 
 
 class _FocalTables:
-    """Per-pool tables for sweeping the synergy metric over many teams.
+    """Per-focal tables for scoring the synergy metric over many teams.
 
-    For every model f taken as focal: its negative sample count, each
-    model's accuracy on those samples, and the kappa over every model
-    pair's predictions there.
+    For every model f that appears in the teams, taken as focal: its
+    negative sample count, sq_epsilon of each other model a with f, and
+    sq_alpha of every other pair (a, b) with f, all on f's negative set.
     """
 
-    def __init__(self, pool, cm, cfg):
+    def __init__(self, pool, cm, teams, cfg):
         m = pool.n_models
-        labels = pool.predicted_labels()
-        if cfg.alpha_on_labels:
-            data, n_classes = labels, pool.n_classes
-        else:
-            data = (labels == pool.truth[None, :]).astype(np.int64)
-            n_classes = 2
+        models = tuple(sorted({i for team in teams for i in _member_ids(team)}))
         self.counts = np.zeros(m, dtype=np.int64)
         self.acc = np.zeros((m, m))
         self.kappa = np.zeros((m, m, m))
-        all_models = tuple(range(m))
-        for f in range(m):
+        for f in models:
             neg = negative_samples(
-                cm, all_models, mode=FOCAL_ERRS, seed=cfg.seed,
+                cm, models, mode=FOCAL_ERRS, seed=cfg.seed,
                 cap=cfg.negative_cap, focal_id=f,
             )
             self.counts[f] = len(neg)
             if not len(neg):
                 continue
-            idx = np.asarray(neg.sample_indices, dtype=np.int64)
-            self.acc[f] = cm.bits[:, idx].mean(axis=1)
-            sliced = data[:, idx]
-            for a in range(m):
-                for b in range(a + 1, m):
-                    k = multiclass_kappa(sliced[a], sliced[b], n_classes)
-                    self.kappa[f, a, b] = k
-                    self.kappa[f, b, a] = k
+            others = [a for a in models if a != f]
+            for a in others:
+                self.acc[f, a] = sq_epsilon(cm, (f, a), f, neg)
+            for a, b in combinations(others, 2):
+                k = sq_alpha(pool, (f, a, b), f, neg, on_labels=cfg.alpha_on_labels)
+                self.kappa[f, a, b] = k
+                self.kappa[f, b, a] = k
 
     def breakdown(self, team, cfg):
+        """Rotate the focal role through every member; members with no
+        negative samples are skipped, and the team score is the mean
+        combined score of the rest (0 when every focal is skipped)."""
         members = _member_ids(team)
         per_focal, skipped = [], set()
         for focal in members:
@@ -199,52 +189,21 @@ def score_teams(pool, cm, teams, metrics, cfg=ScoreConfig()):
     if len(set(metrics)) != len(metrics):
         raise ValueError("duplicate metrics requested")
     out = {m: {} for m in metrics}
-    q_wanted = [m for m in metrics if m != "SQ"]
-    need_pairs = any(m in metrics for m in ("CK", "QS", "BD"))
-    need_counts = any(m in metrics for m in ("GD", "KW"))
-    tables = _FocalTables(pool, cm, cfg) if "SQ" in metrics else None
+    classical = [m for m in metrics if m != "SQ"]
+    tables = _FocalTables(pool, cm, teams, cfg) if "SQ" in metrics else None
 
     for team in teams:
-        members = list(_member_ids(team))
-        if q_wanted:
-            subset = _q_subset(cm, team, cfg)
-            idx = _subset_indices(subset, cm.n_samples)
+        if classical:
+            idx = _subset_indices(_q_subset(cm, team, cfg), cm.n_samples)
             if idx.size == 0:
                 raise UndefinedDiversityError(
-                    q_wanted[0],
-                    f"undefined diversity: {'/'.join(q_wanted)} on team "
+                    classical[0],
+                    f"undefined diversity: {'/'.join(classical)} on team "
                     f"{team.team_key} (empty evaluation subset)",
                 )
-            sub = cm.bits[members][:, idx]
-            if need_pairs:
-                n11, n10, n01, n00 = _pair_counts(sub)
-                if "CK" in out:
-                    out["CK"][team.team_key] = DiversityScore(
-                        "CK", float(np.mean(1.0 - _kappa_pairs(n11, n10, n01, n00)))
-                    )
-                if "QS" in out:
-                    out["QS"][team.team_key] = DiversityScore(
-                        "QS", float(np.mean(_q_pairs(n11, n10, n01, n00)))
-                    )
-                if "BD" in out:
-                    out["BD"][team.team_key] = DiversityScore(
-                        "BD", float(np.mean((n10 + n01) / sub.shape[1]))
-                    )
-            if need_counts:
-                mm = sub.shape[0]
-                correct = sub.sum(axis=0)
-                if "GD" in out:
-                    wrong = mm - correct
-                    p1 = float(wrong.mean()) / mm
-                    if p1 == 0.0:
-                        out["GD"][team.team_key] = DiversityScore("GD", 0.0, note="no-failures")
-                    else:
-                        p2 = float((wrong * (wrong - 1)).mean()) / (mm * (mm - 1))
-                        out["GD"][team.team_key] = DiversityScore("GD", float(1.0 - p2 / p1))
-                if "KW" in out:
-                    out["KW"][team.team_key] = DiversityScore(
-                        "KW", float((correct * (mm - correct)).sum() / (idx.size * mm * mm))
-                    )
+            sub = cm.bits[list(_member_ids(team))][:, idx]
+            for metric, score in classical_scores(sub, classical).items():
+                out[metric][team.team_key] = score
         if tables is not None:
             breakdown = tables.breakdown(team, cfg)
             note = "all-focals-skipped" if breakdown.all_skipped else None

@@ -14,6 +14,9 @@ the focal negative set, on which two components are measured:
 The per-focal score is w_epsilon * sq_epsilon + w_alpha * sq_alpha, and the
 team score is the mean over every member that has at least one failure;
 members with no failures are skipped. Both weights default to 1.
+
+This module holds the per-focal formulas; scoring.score_teams builds the
+focal negative sets, tabulates these terms and aggregates them per team.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .qmetrics import (
     NegativeSampleSet,
     _member_ids,
     _subset_indices,
-    negative_samples,
     pair_contingency,
 )
 
@@ -38,25 +40,6 @@ class EmptyFocalNegativesError(ValueError):
     def __init__(self, focal_id):
         self.focal_id = focal_id
         super().__init__(f"focal {focal_id} has no negative samples")
-
-
-@dataclass(frozen=True)
-class SQConfig:
-    """Weights and sampling knobs; defaults are the standard setting.
-
-    alpha_on_labels switches the agreement component between predicted
-    labels (default) and correctness outcomes, for sensitivity studies.
-    """
-
-    w_epsilon: float = 1.0
-    w_alpha: float = 1.0
-    negative_cap: int | None = None
-    seed: int = 0
-    alpha_on_labels: bool = True
-
-    def __post_init__(self):
-        if self.w_epsilon < 0 or self.w_alpha < 0:
-            raise ValueError("weights must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -157,44 +140,3 @@ def sq_alpha(pool, team, focal_id, neg, on_labels=True):
         for bi in range(ai + 1, len(others)):
             kappas.append(multiclass_kappa(data[others[ai]], data[others[bi]], n_classes))
     return float(np.mean(np.asarray(kappas)))
-
-
-def sq_score(pool, cm, team, cfg=SQConfig()):
-    """Score a team by rotating the focal role through every member.
-
-    Deterministic given cfg.seed; the negative set per focal depends only on
-    the focal's own errors, the cap, and the seed.
-    """
-    members = _member_ids(team)
-    if len(members) < 2:
-        raise ValueError("sq_score needs a team of at least 2 members")
-    per_focal = []
-    skipped = set()
-    for focal in members:
-        neg = negative_samples(
-            cm, team, mode=FOCAL_ERRS, seed=cfg.seed, cap=cfg.negative_cap, focal_id=focal
-        )
-        if len(neg) == 0:
-            skipped.add(focal)
-            continue
-        eps = sq_epsilon(cm, team, focal, neg)
-        alpha = sq_alpha(pool, team, focal, neg, on_labels=cfg.alpha_on_labels)
-        per_focal.append(
-            FocalResult(
-                focal_id=focal,
-                negative_count=len(neg),
-                sq_epsilon=eps,
-                sq_alpha=alpha,
-                combined=cfg.w_epsilon * eps + cfg.w_alpha * alpha,
-            )
-        )
-    if per_focal:
-        aggregate = float(np.mean(np.asarray([f.combined for f in per_focal])))
-    else:
-        aggregate = 0.0
-    return SQBreakdown(
-        per_focal=tuple(per_focal),
-        aggregate=aggregate,
-        skipped_focals=frozenset(skipped),
-        all_skipped=not per_focal,
-    )

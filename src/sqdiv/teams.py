@@ -7,6 +7,7 @@ pools hyphenate ("1-3-11"). Soft voting is the default consensus.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -76,11 +77,7 @@ def parse_team_key(key):
     return ids
 
 
-def enumerate_teams(n_models, min_size=2, max_size=None):
-    """Yield all candidate teams in (size, lexicographic) order.
-
-    Streaming so large pools never materialize the full candidate set.
-    """
+def _size_bounds(n_models, min_size, max_size):
     if max_size is None:
         max_size = n_models
     if not 2 <= min_size <= max_size <= n_models:
@@ -88,13 +85,24 @@ def enumerate_teams(n_models, min_size=2, max_size=None):
             f"need 2 <= min_size <= max_size <= n_models, got "
             f"min_size={min_size} max_size={max_size} n_models={n_models}"
         )
+    return min_size, max_size
+
+
+def enumerate_teams(n_models, min_size=2, max_size=None):
+    """Yield all candidate teams in (size, lexicographic) order.
+
+    Streaming so large pools never materialize the full candidate set.
+    """
+    min_size, max_size = _size_bounds(n_models, min_size, max_size)
     for size in range(min_size, max_size + 1):
         for ids in combinations(range(n_models), size):
             yield EnsembleTeam(member_ids=ids, team_key=team_key_for(ids, n_models))
 
 
 def count_teams(n_models, min_size=2, max_size=None):
-    return sum(1 for _ in enumerate_teams(n_models, min_size, max_size))
+    """Number of teams enumerate_teams yields, by formula."""
+    min_size, max_size = _size_bounds(n_models, min_size, max_size)
+    return sum(math.comb(n_models, k) for k in range(min_size, max_size + 1))
 
 
 @dataclass(frozen=True)

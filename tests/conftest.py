@@ -1,8 +1,22 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+import sqdiv
 from sqdiv.pool import load_pool
+
+
+@pytest.fixture
+def package_env():
+    """Environment for subprocesses that import sqdiv from any working
+    directory: the imported package's parent directory leads PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(sqdiv.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    return env
 
 
 @pytest.fixture

@@ -29,9 +29,9 @@ from sqdiv.qmetrics import (
     negative_samples,
     q_statistic,
 )
-from sqdiv.scoring import ScoreConfig, score_teams
+from sqdiv.scoring import ScoreConfig, score_team, score_teams
 from sqdiv.selection import rank_teams
-from sqdiv.sq import sq_epsilon, sq_score
+from sqdiv.sq import sq_epsilon
 from sqdiv.synth import default_spec, generate
 from sqdiv.teams import (
     count_teams,
@@ -125,7 +125,7 @@ def test_metric_oracle_equivalence():
                     want = oracle(bits, members, subset)
                     assert got == pytest.approx(want, abs=TOL), func.__name__
 
-            breakdown = sq_score(pool, cm, team)
+            breakdown = score_team(pool, cm, team, "SQ").detail
             evaluated, skipped, aggregate = ref.sq_breakdown(
                 pool.predicted_labels(), bits, list(members), pool.n_classes
             )
@@ -170,7 +170,7 @@ def test_degenerate_team_suite():
         perfect_cm = correctness(perfect)
         assert len(negative_samples(perfect_cm, pair)) == 0
         assert len(negative_samples(perfect_cm, pair, mode=FOCAL_ERRS, focal_id=0)) == 0
-        breakdown = sq_score(perfect, perfect_cm, pair)
+        breakdown = score_team(perfect, perfect_cm, pair, "SQ").detail
         assert breakdown.aggregate == 0.0
         assert breakdown.all_skipped
         assert breakdown.skipped_focals == frozenset({0, 1})
@@ -277,7 +277,7 @@ def test_consensus_equivalence_and_rescale():
             )
 
 
-def test_determinism_and_round_trip(tmp_path):
+def test_determinism_and_round_trip(tmp_path, package_env):
     name = "determinism: pool round trip + byte-identical CLI runs"
     with criterion(name):
         pool = generate(default_spec(n_models=5, n_samples=200, n_classes=4,
@@ -304,7 +304,7 @@ def test_determinism_and_round_trip(tmp_path):
             for label, argv in steps:
                 proc = subprocess.run(
                     [sys.executable, "-m", "sqdiv", *argv],
-                    cwd=run_dir, capture_output=True,
+                    cwd=run_dir, capture_output=True, env=package_env,
                 )
                 assert proc.returncode == 0, (label, proc.stderr.decode())
                 transcript[label] = proc.stdout

@@ -8,8 +8,7 @@ import pytest
 
 from sqdiv.cli import main
 from sqdiv.pool import correctness, load_pool, write_pool
-from sqdiv.scoring import ScoreConfig
-from sqdiv.sq import SQConfig, sq_score
+from sqdiv.scoring import ScoreConfig, score_team
 from sqdiv.teams import make_team, soft_vote
 
 from _pools import pool_from_labels
@@ -100,7 +99,7 @@ def test_evaluate_zero_alpha_weight_equals_epsilon_mean(sim_pool, tmp_path, caps
     rows = list(csv.DictReader((out / "scatter_sq.csv").open()))
     for row in rows:
         team = make_team([int(ch) for ch in row["team"]], pool.n_models)
-        breakdown = sq_score(pool, cm, team, SQConfig(w_alpha=0.0))
+        breakdown = score_team(pool, cm, team, "SQ", ScoreConfig(w_alpha=0.0)).detail
         eps_mean = float(np.mean([f.sq_epsilon for f in breakdown.per_focal]))
         assert float(row["score"]) == pytest.approx(eps_mean, abs=1e-12)
 
@@ -247,6 +246,19 @@ def test_config_file_supplies_and_cli_overrides(sim_pool, tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "c2" / "scatter_kw.csv").exists()
     assert not (tmp_path / "c2" / "scatter_bd.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--w-alpha", "-1"],
+    ["select", "--metric", "sq", "--w-alpha", "-1"],
+    ["evaluate", "--neg-cap", "0"],
+])
+def test_bad_scoring_flag_is_usage_error(sim_pool, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code, _, err = run(argv + ["--pool", str(sim_pool), "--out", str(out)], capsys)
+    assert code == 2
+    assert "bad scoring flag" in err
+    assert not out.exists()
 
 
 def test_missing_required_flags(capsys, tmp_path):

@@ -69,17 +69,40 @@ def test_rank_validation():
 
 
 def test_score_teams_matches_score_team():
+    """The sweep over every team of a random pool, and score_team on each
+    team, equal the naive oracles: classical metrics on each team's negative
+    set and on the full set, SQ under default and non-default settings."""
     pool = random_pool(31, 5, 60, 4)
     cm = correctness(pool)
     teams = list(enumerate_teams(5))
-    cfg = ScoreConfig()
-    sweep = score_teams(pool, cm, teams, ["CK", "QS", "BD", "GD", "KW", "SQ"], cfg)
+    labels = pool.predicted_labels()
+    oracles = {
+        "CK": ref.ck_diversity,
+        "QS": ref.q_statistic,
+        "BD": ref.binary_disagreement,
+        "GD": ref.generalized_diversity,
+        "KW": ref.kohavi_wolpert,
+    }
+    sq_settings = ({}, {"w_epsilon": 0.3, "w_alpha": 1.7}, {"alpha_on_labels": False})
+    sweep = score_teams(pool, cm, teams, [*oracles, "SQ"], ScoreConfig())
+    full = score_teams(pool, cm, teams, list(oracles), ScoreConfig(use_full_set=True))
+    sq_sweeps = [score_teams(pool, cm, teams, ["SQ"], ScoreConfig(**kw)) for kw in sq_settings]
+    everything = range(pool.n_samples)
     for team in teams:
-        for metric in ("CK", "QS", "BD", "GD", "KW", "SQ"):
-            single = score_team(pool, cm, team, metric, cfg)
-            assert sweep[metric][team.team_key].value == pytest.approx(
-                single.value, abs=1e-12
-            ), (metric, team.team_key)
+        members, key = list(team.member_ids), team.team_key
+        neg = [j for j in everything if not all(cm.bits[i][j] for i in members)]
+        for metric, oracle in oracles.items():
+            want = oracle(cm.bits, members, neg)
+            assert sweep[metric][key].value == pytest.approx(want, abs=1e-12), (metric, key)
+            single = score_team(pool, cm, team, metric).value
+            assert single == pytest.approx(want, abs=1e-12), (metric, key)
+            want_full = oracle(cm.bits, members, everything)
+            assert full[metric][key].value == pytest.approx(want_full, abs=1e-12), (metric, key)
+        for kw, result in zip(sq_settings, sq_sweeps):
+            _, _, want = ref.sq_breakdown(labels, cm.bits, members, pool.n_classes, **kw)
+            assert result["SQ"][key].value == pytest.approx(want, abs=1e-12), (kw, key)
+            single = score_team(pool, cm, team, "SQ", ScoreConfig(**kw)).value
+            assert single == pytest.approx(want, abs=1e-12), (kw, key)
 
 
 def test_score_teams_full_set_switch():

@@ -7,14 +7,8 @@ import _reference as ref
 from _pools import pool_from_labels, pool_from_probs, random_pool
 from sqdiv.pool import correctness
 from sqdiv.qmetrics import FOCAL_ERRS, negative_samples
-from sqdiv.sq import (
-    EmptyFocalNegativesError,
-    SQConfig,
-    multiclass_kappa,
-    sq_alpha,
-    sq_epsilon,
-    sq_score,
-)
+from sqdiv.scoring import ScoreConfig, score_team
+from sqdiv.sq import EmptyFocalNegativesError, multiclass_kappa, sq_alpha, sq_epsilon
 from sqdiv.teams import make_team
 
 
@@ -113,7 +107,7 @@ def test_multiclass_kappa_degenerate_marginals():
 def test_sq_score_frozen_breakdown(triad_pool):
     cm = correctness(triad_pool)
     team = make_team([0, 1, 2], 3)
-    breakdown = sq_score(triad_pool, cm, team)
+    breakdown = score_team(triad_pool, cm, team, "SQ").detail
     by_focal = {f.focal_id: f for f in breakdown.per_focal}
     assert set(by_focal) == {0, 1, 2}
     assert breakdown.skipped_focals == frozenset()
@@ -135,7 +129,7 @@ def test_sq_score_frozen_breakdown(triad_pool):
 def test_sq_score_zero_alpha_weight(triad_pool):
     cm = correctness(triad_pool)
     team = make_team([0, 1, 2], 3)
-    breakdown = sq_score(triad_pool, cm, team, SQConfig(w_alpha=0.0))
+    breakdown = score_team(triad_pool, cm, team, "SQ", ScoreConfig(w_alpha=0.0)).detail
     expected = np.mean([f.sq_epsilon for f in breakdown.per_focal])
     assert breakdown.aggregate == pytest.approx(expected, abs=1e-12)
 
@@ -144,7 +138,7 @@ def test_sq_score_perfect_team_all_skipped():
     labels = [(0, 1), (0, 1), (0, 1)]
     pool = pool_from_labels(labels, truth=(0, 1), n_classes=2)
     cm = correctness(pool)
-    breakdown = sq_score(pool, cm, make_team([0, 1, 2], 3))
+    breakdown = score_team(pool, cm, make_team([0, 1, 2], 3), "SQ").detail
     assert breakdown.all_skipped
     assert breakdown.aggregate == 0.0
     assert breakdown.skipped_focals == frozenset({0, 1, 2})
@@ -155,7 +149,7 @@ def test_sq_score_partial_skip():
     labels = [(2, 1), (0, 1), (0, 2)]
     pool = pool_from_labels(labels, truth=(0, 1), n_classes=3)
     cm = correctness(pool)
-    breakdown = sq_score(pool, cm, make_team([0, 1, 2], 3))
+    breakdown = score_team(pool, cm, make_team([0, 1, 2], 3), "SQ").detail
     assert breakdown.skipped_focals == frozenset({1})
     assert {f.focal_id for f in breakdown.per_focal} == {0, 2}
 
@@ -163,7 +157,7 @@ def test_sq_score_partial_skip():
 def test_sq_score_rejects_small_team(triad_pool):
     cm = correctness(triad_pool)
     with pytest.raises(ValueError, match="at least 2"):
-        sq_score(triad_pool, cm, (0,))
+        score_team(triad_pool, cm, (0,), "SQ")
 
 
 @settings(max_examples=40, deadline=None)
@@ -193,16 +187,16 @@ def test_sq_aggregate_range(seed, w_eps, w_alpha):
     m = int(rng.integers(2, 6))
     pool = random_pool(seed, m, int(rng.integers(3, 30)), int(rng.integers(2, 5)))
     cm = correctness(pool)
-    breakdown = sq_score(pool, cm, make_team(range(m), m),
-                         SQConfig(w_epsilon=w_eps, w_alpha=w_alpha))
+    breakdown = score_team(pool, cm, make_team(range(m), m), "SQ",
+                           ScoreConfig(w_epsilon=w_eps, w_alpha=w_alpha)).detail
     assert -w_alpha - 1e-12 <= breakdown.aggregate <= w_eps + w_alpha + 1e-12
 
 
 def test_sq_score_deterministic_and_order_invariant():
     pool = random_pool(42, 4, 25, 3)
     cm = correctness(pool)
-    a = sq_score(pool, cm, make_team([2, 0, 3], 4))
-    b = sq_score(pool, cm, make_team([3, 2, 0], 4))
+    a = score_team(pool, cm, make_team([2, 0, 3], 4), "SQ").detail
+    b = score_team(pool, cm, make_team([3, 2, 0], 4), "SQ").detail
     assert a == b
     assert a.aggregate == b.aggregate
 
@@ -214,7 +208,7 @@ def test_sq_matches_reference_on_random_pools():
         pool = random_pool(seed + 1000, m, int(rng.integers(4, 30)), int(rng.integers(2, 5)))
         cm = correctness(pool)
         team = make_team(range(m), m)
-        breakdown = sq_score(pool, cm, team)
+        breakdown = score_team(pool, cm, team, "SQ").detail
         evaluated, skipped, aggregate = ref.sq_breakdown(
             pool.predicted_labels(), cm.bits, list(team.member_ids), pool.n_classes
         )
@@ -231,8 +225,8 @@ def test_sq_alpha_on_correctness_switch():
     pool = random_pool(5, 3, 30, 3)
     cm = correctness(pool)
     team = make_team([0, 1, 2], 3)
-    on_labels = sq_score(pool, cm, team, SQConfig(alpha_on_labels=True))
-    on_bits = sq_score(pool, cm, team, SQConfig(alpha_on_labels=False))
+    on_labels = score_team(pool, cm, team, "SQ", ScoreConfig(alpha_on_labels=True)).detail
+    on_bits = score_team(pool, cm, team, "SQ", ScoreConfig(alpha_on_labels=False)).detail
     _, _, expected = ref.sq_breakdown(
         pool.predicted_labels(), cm.bits, [0, 1, 2], pool.n_classes,
         alpha_on_labels=False,
@@ -245,8 +239,8 @@ def test_negative_cap_respected_and_deterministic():
     pool = random_pool(9, 3, 300, 3)
     cm = correctness(pool)
     team = make_team([0, 1, 2], 3)
-    capped = sq_score(pool, cm, team, SQConfig(negative_cap=10, seed=4))
-    again = sq_score(pool, cm, team, SQConfig(negative_cap=10, seed=4))
+    capped = score_team(pool, cm, team, "SQ", ScoreConfig(negative_cap=10, seed=4)).detail
+    again = score_team(pool, cm, team, "SQ", ScoreConfig(negative_cap=10, seed=4)).detail
     assert capped == again
     assert all(f.negative_count <= 10 for f in capped.per_focal)
 
@@ -258,7 +252,7 @@ def test_monotone_synergy_flip():
         pool = random_pool(seed, 4, 30, 3)
         cm = correctness(pool)
         team = make_team([0, 1, 2], 4)
-        base = sq_score(pool, cm, team).aggregate
+        base = score_team(pool, cm, team, "SQ").detail.aggregate
         probs = np.array(pool.probs)
         fails = np.flatnonzero(~cm.bits[0])
         for member in (1, 2):
@@ -267,5 +261,5 @@ def test_monotone_synergy_flip():
                 row[pool.truth[j]] = 0.8
                 probs[member, j] = row / row.sum()
         improved = pool_from_probs(probs, pool.truth)
-        after = sq_score(improved, correctness(improved), team).aggregate
+        after = score_team(improved, correctness(improved), team, "SQ").detail.aggregate
         assert after >= base - 1e-12

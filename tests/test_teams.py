@@ -39,6 +39,10 @@ def test_make_team_validation():
 def test_enumeration_counts():
     assert count_teams(4) == 11
     assert count_teams(10) == 1013
+    for n, lo, hi in ((2, 2, 2), (5, 2, None), (6, 3, 4), (7, 7, 7), (9, 2, 3), (12, 5, 8)):
+        assert count_teams(n, lo, hi) == len(list(enumerate_teams(n, lo, hi))), (n, lo, hi)
+    with pytest.raises(ValueError):
+        count_teams(4, min_size=3, max_size=2)
     teams = list(enumerate_teams(2))
     assert [t.team_key for t in teams] == ["01"]
 
