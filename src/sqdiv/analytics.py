@@ -16,8 +16,6 @@ import numpy as np
 from .scoring import ScoreConfig, normalize_metric, score_teams
 from .teams import SOFT, consensus, enumerate_teams, make_team, team_accuracy_table
 
-SCATTER_COLUMNS = ("team", "size", "score", "accuracy")
-
 
 class UndefinedCorrelationError(ValueError):
     """Correlation requested on a constant (zero-variance) sequence."""

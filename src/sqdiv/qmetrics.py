@@ -116,7 +116,7 @@ def negative_samples(cm, team, mode=ANY_MEMBER_ERRS, seed=0, cap=None, focal_id=
             keep = rng.choice(qualifying.size, size=cap, replace=False)
             qualifying = np.sort(qualifying[keep])
     return NegativeSampleSet(
-        sample_indices=tuple(int(i) for i in qualifying),
+        sample_indices=tuple(qualifying.tolist()),
         mode=mode,
         focal_id=None if mode == ANY_MEMBER_ERRS else int(focal_id),
         seed=int(seed),

@@ -7,8 +7,6 @@ lexicographically smaller team key.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 from .pool import model_accuracy
@@ -29,11 +27,6 @@ from .teams import (
     normalize_method,
     parse_team_key,
 )
-
-REPORT_COLUMNS = (
-    "rank", "team", "metric", "score", "ensemble_acc", "best_single_acc", "improvement",
-)
-
 
 @dataclass(frozen=True)
 class RankedEntry:
@@ -60,22 +53,6 @@ class SelectionReport:
     metric: str
     consensus_method: str
     rows: tuple[SelectionRow, ...]
-
-    def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for r in self.rows:
-            writer.writerow([
-                r.rank, r.team_key, r.metric, repr(r.score),
-                repr(r.ensemble_accuracy), repr(r.best_single_accuracy),
-                repr(r.improvement),
-            ])
-        return buf.getvalue()
-
-    def write_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
 
 
 def _coerce_team(team):

@@ -15,7 +15,10 @@ from _pools import pool_from_labels
 
 
 def run(args, capsys):
-    code = main(args)
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -259,6 +262,56 @@ def test_bad_scoring_flag_is_usage_error(sim_pool, tmp_path, capsys, argv):
     assert code == 2
     assert "bad scoring flag" in err
     assert not out.exists()
+
+
+_SIZE_FLAGS = (["--min-size", "1"], ["--max-size", "99"], ["--min-size", "5", "--max-size", "3"])
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, *flags] for command in ("evaluate", "select") for flags in _SIZE_FLAGS),
+    ["evaluate", "--metrics", "sq,SQ"],
+    ["simulate", "--base-accuracy", "0.9:abc"],
+    ["simulate", "--neg-cap", "5"],
+    ["inspect", "--team", "01", "--sample", "s00000", "--w-alpha", "3"],
+], ids=" ".join)
+def test_bad_flag_is_usage_error(sim_pool, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    if argv[0] != "simulate":
+        argv = argv + ["--pool", str(sim_pool)]
+    code, _, _ = run(argv + ["--out", str(out)], capsys)
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"negcap": 50}, "negcap"),
+    ({"alpha-on": "correctnes"}, "alpha-on"),
+    ({"topk": 2.5}, "topk"),
+    ({"full-set": "false"}, "full_set"),
+    ({"topk": True}, "topk"),
+], ids=str)
+def test_bad_config_is_usage_error(sim_pool, tmp_path, capsys, config, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code, _, err = run(
+        ["select", "--pool", str(sim_pool), "--config", str(path), "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert key in err
+    assert not out.exists()
+
+
+def test_config_ignores_other_subcommands_flags(sim_pool, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"metrics": "bd", "topk": 5}))
+    out = tmp_path / "out"
+    code, _, _ = run(
+        ["evaluate", "--pool", str(sim_pool), "--config", str(config), "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["correlations.json", "scatter_bd.csv"]
 
 
 def test_missing_required_flags(capsys, tmp_path):

@@ -3,7 +3,8 @@ import pytest
 
 import _reference as ref
 from _pools import make_cm, pool_from_probs, random_pool
-from sqdiv.pool import correctness, model_accuracy
+from sqdiv.cli import main
+from sqdiv.pool import correctness, model_accuracy, write_pool
 from sqdiv.qmetrics import UndefinedDiversityError
 from sqdiv.scoring import ScoreConfig, score_team, score_teams
 from sqdiv.selection import SelectionRow, rank_teams, select_and_evaluate
@@ -176,11 +177,13 @@ def test_zero_improvement_when_consensus_equals_best_member():
     assert row.improvement == 0.0
 
 
-def test_report_csv_shape():
-    pool = random_pool(5, 4, 30, 3)
-    cm = correctness(pool)
-    report = select_and_evaluate(pool, cm, "kw", k=4, consensus_method="majority")
-    text = report.to_csv()
+def test_report_csv_shape(tmp_path):
+    manifest = write_pool(random_pool(5, 4, 30, 3), tmp_path / "pool")
+    out = tmp_path / "sel"
+    code = main(["select", "--pool", str(manifest), "--metric", "kw", "--topk", "4",
+                 "--consensus", "majority", "--out", str(out)])
+    assert code == 0
+    text = (out / "selection_kw.csv").read_text(encoding="utf-8")
     lines = text.strip().splitlines()
     assert lines[0] == "rank,team,metric,score,ensemble_acc,best_single_acc,improvement"
     assert len(lines) == 5
