@@ -46,6 +46,12 @@ SELECTION_COLUMNS = (
 )
 _ALPHA_ON = ("labels", "correctness")
 
+# Most candidate teams evaluate and select will enumerate. Every team holds
+# its scores, SQ breakdown and accuracy in memory until the artifacts are
+# written, so the team count, not the pool size, bounds a run's memory.
+# 2**16 admits every team of a 16-model pool (65,519).
+MAX_TEAMS = 1 << 16
+
 
 class UsageError(Exception):
     """Semantically invalid flags; maps to exit code 2."""
@@ -185,11 +191,17 @@ def _score_config(args):
 
 
 def _load_checked(args):
-    """Load --pool, then check the team-size flags against its model count."""
+    """Load --pool, then check the team-size flags against its model count
+    and the team budget. Returns the pool and its candidate team count."""
     pool = load_pool(args.pool)
     with _usage():
-        count_teams(pool.n_models, args.min_size, args.max_size)
-    return pool
+        n_teams = count_teams(pool.n_models, args.min_size, args.max_size)
+    if n_teams > MAX_TEAMS:
+        raise UsageError(
+            f"{n_teams} candidate teams on a {pool.n_models}-model pool exceed the "
+            f"budget of {MAX_TEAMS}; narrow --min-size/--max-size"
+        )
+    return pool, n_teams
 
 
 def _out_dir(args):
@@ -253,7 +265,15 @@ def cmd_evaluate(args):
             raise ValueError(f"--metrics repeats a metric: {args.metrics}")
         method = normalize_method(args.consensus)
     cfg = _score_config(args)
-    pool = _load_checked(args)
+    pool, n_teams = _load_checked(args)
+    if n_teams < 2 and pool.n_models > 2:
+        # Other sizes would give more teams, so the flags are at fault. A
+        # 2-model pool has one team whatever the flags: that is a data failure.
+        max_size = pool.n_models if args.max_size is None else args.max_size
+        raise UsageError(
+            f"--min-size {args.min_size} --max-size {max_size} leave {n_teams} candidate "
+            f"team on a {pool.n_models}-model pool; correlations need at least 2"
+        )
     cm = correctness(pool)
     result = sweep(pool, cm, metrics, cfg, method, args.min_size, args.max_size)
     report = result.correlations(spearman if args.spearman else pearson)
@@ -278,7 +298,7 @@ def cmd_select(args):
     if args.topk < 1:
         raise UsageError("--topk must be >= 1")
     cfg = _score_config(args)
-    pool = _load_checked(args)
+    pool, _ = _load_checked(args)
     cm = correctness(pool)
     report = select_and_evaluate(
         pool, cm, metric, cfg, k=args.topk, consensus_method=method,

@@ -8,10 +8,12 @@ team member errs). Pairwise metrics reduce each unordered member pair to a
     n11  both correct      n10  first-only correct
     n01  second-only       n00  both wrong
 
-and aggregate by unweighted mean over pairs. Degenerate denominators resolve
-to the metric's "no diversity information" value instead of raising, so a
-sweep over thousands of candidate teams never aborts mid-run; only an empty
-subset is an error.
+and aggregate by unweighted mean over pairs; GD and KW read the per-sample
+count of correct members. classical_batch derives all of these counts from
+a Gram matrix of the correctness rows, for a batch of teams at once.
+Degenerate denominators resolve to the metric's "no diversity information"
+value instead of raising, so a sweep over thousands of candidate teams never
+aborts mid-run; only an empty subset is an error.
 
 Everything here is a pure function of immutable inputs and safe to call
 concurrently across teams.
@@ -135,17 +137,14 @@ def pair_contingency(cm, model_a, model_b, subset):
     return PairContingency(n11=n11, n10=n10, n01=n01, n00=int(idx.size) - n11 - n10 - n01)
 
 
-def _pair_counts(sub):
-    """Vectorized contingency counts for all unordered row pairs of sub."""
-    f = sub.astype(np.float64)
-    both = f @ f.T
-    row = f.sum(axis=1)
-    i, j = np.triu_indices(sub.shape[0], k=1)
-    n11 = both[i, j]
-    n10 = row[i] - n11
-    n01 = row[j] - n11
-    n00 = sub.shape[1] - n11 - n10 - n01
-    return n11, n10, n01, n00
+def gram(bits):
+    """Both-correct counts G = B @ B.T of boolean correctness rows (int64).
+
+    G[a, b] counts the samples both a and b get right; the diagonal holds
+    each row's correct count.
+    """
+    b = np.asarray(bits, dtype=np.int64)
+    return b @ b.T
 
 
 def _kappa_pairs(n11, n10, n01, n00):
@@ -161,38 +160,88 @@ def _q_pairs(n11, n10, n01, n00):
     return np.where(den == 0, 0.0, num / np.where(den == 0, 1.0, den))
 
 
+def _row_mean(values):
+    # numpy sums a C-contiguous row pairwise, exactly as it sums a 1-d
+    # array; a Fortran-ordered batch would be summed in another order.
+    return np.ascontiguousarray(values).mean(axis=1)
+
+
+def classical_batch(g, members, n, removed, metrics):
+    """Score a batch of equal-size teams with each requested classical metric.
+
+    g is the Gram matrix (see gram) of the correctness rows over some sample
+    set S. members is a (teams, k) int array of model ids in member order.
+    Team t is evaluated on S minus removed[t] samples on which every member
+    is correct, n[t] > 0 samples in all. The scores then follow from g and
+    removed alone (Kuncheva & Whitaker 2003): with G = g[a, b], r = diag(g)
+    and R = removed[t], the pair counts on the subset are
+
+        n11 = G - R    n10 = r[a] - G    n01 = r[b] - G    n00 = n - the rest
+
+    which give CK, QS and BD; and the per-sample count c of correct members
+    has moments sum(c) = sum_a r[a] - k R and sum(c^2) = sum_ab G - k^2 R,
+    which give GD and KW. Every count is an exact integer, so each score
+    equals the one computed from the subset's rows directly.
+
+    Returns {metric: [DiversityScore per team]}.
+    """
+    members = np.asarray(members, dtype=np.int64)
+    n = np.asarray(n, dtype=np.int64)
+    removed = np.asarray(removed, dtype=np.int64)
+    k = members.shape[1]
+    ia, ib = np.triu_indices(k, k=1)
+    a, b = members[:, ia], members[:, ib]
+    both = g[a, b]
+    r = np.diagonal(g)
+    out = {}
+    if any(m in metrics for m in ("CK", "QS", "BD")):
+        n11 = (both - removed[:, None]).astype(np.float64)
+        n10 = (r[a] - both).astype(np.float64)
+        n01 = (r[b] - both).astype(np.float64)
+        n00 = n[:, None] - n11 - n10 - n01
+        if "CK" in metrics:
+            out["CK"] = _row_mean(1.0 - _kappa_pairs(n11, n10, n01, n00))
+        if "QS" in metrics:
+            out["QS"] = _row_mean(_q_pairs(n11, n10, n01, n00))
+        if "BD" in metrics:
+            out["BD"] = _row_mean((n10 + n01) / n[:, None])
+    no_failures = None
+    if "GD" in metrics or "KW" in metrics:
+        sum_r = r[members].sum(axis=1)
+        sum_c = sum_r - k * removed
+        sum_c2 = sum_r + 2 * both.sum(axis=1) - k * k * removed
+        if "GD" in metrics:
+            # w = k - c wrong members per sample: p1 = mean(w) / k,
+            # p2 = mean(w (w - 1)) / (k (k - 1)).
+            wrong = n * k - sum_c
+            wrong2 = n * k * k - 2 * k * sum_c + sum_c2 - wrong
+            p1 = wrong / n / k
+            p2 = wrong2 / n / (k * (k - 1))
+            no_failures = p1 == 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out["GD"] = np.where(no_failures, 0.0, 1.0 - p2 / p1)
+        if "KW" in metrics:
+            out["KW"] = (k * sum_c - sum_c2) / (n * k * k)
+    scores = {}
+    for metric, values in out.items():
+        notes = no_failures.tolist() if metric == "GD" else [False] * len(values)
+        scores[metric] = [
+            DiversityScore(metric, v, note="no-failures" if note else None)
+            for v, note in zip(values.tolist(), notes)
+        ]
+    return scores
+
+
 def classical_scores(sub, metrics):
     """Score one team's correctness rows with each requested classical metric.
 
     sub is the team's rows of the correctness matrix restricted to a
-    non-empty evaluation subset (members x samples). The pair contingency
-    counts are computed once and shared by CK, QS and BD; GD and KW share
-    the per-sample count of correct members. Returns {metric: DiversityScore}.
+    non-empty evaluation subset (members x samples): classical_batch on its
+    Gram matrix, as a batch of one team. Returns {metric: DiversityScore}.
     """
-    m, n = sub.shape
-    out = {}
-    if any(k in metrics for k in ("CK", "QS", "BD")):
-        n11, n10, n01, n00 = _pair_counts(sub)
-        if "CK" in metrics:
-            kappas = _kappa_pairs(n11, n10, n01, n00)
-            out["CK"] = DiversityScore("CK", float(np.mean(1.0 - kappas)))
-        if "QS" in metrics:
-            out["QS"] = DiversityScore("QS", float(np.mean(_q_pairs(n11, n10, n01, n00))))
-        if "BD" in metrics:
-            out["BD"] = DiversityScore("BD", float(np.mean((n10 + n01) / n)))
-    if "GD" in metrics or "KW" in metrics:
-        correct = sub.sum(axis=0)
-        if "GD" in metrics:
-            wrong = m - correct
-            p1 = float(wrong.mean()) / m
-            if p1 == 0.0:
-                out["GD"] = DiversityScore("GD", 0.0, note="no-failures")
-            else:
-                p2 = float((wrong * (wrong - 1)).mean()) / (m * (m - 1))
-                out["GD"] = DiversityScore("GD", float(1.0 - p2 / p1))
-        if "KW" in metrics:
-            out["KW"] = DiversityScore("KW", float((correct * (m - correct)).sum() / (n * m * m)))
-    return out
+    k, n = sub.shape
+    batch = classical_batch(gram(sub), np.arange(k)[None, :], [n], [0], metrics)
+    return {metric: scores[0] for metric, scores in batch.items()}
 
 
 def _classical(cm, team, subset, metric):

@@ -1,12 +1,15 @@
 """Metric registry and the team scorer.
 
 score_teams is the only scorer; score_team is score_teams run on one team.
-Per team it slices the correctness rows once and hands them to
-qmetrics.classical_scores, which shares the pair contingency counts among
-the pairwise metrics. For the synergy metric the focal negative sets and
-per-focal pair statistics depend only on the focal model (never on the rest
-of the team), so they are built once per call, over the models that appear
-in the requested teams, and reused across all of them.
+Teams are scored in batches of one size. The classical metrics on each
+team's full negative set (or on all samples) follow in closed form from the
+pool's correctness Gram matrix and one count per team, the samples on which
+every member is correct (qmetrics.classical_batch). Only a capped negative
+set, a random subset, needs the team's own slice of the correctness rows.
+For the synergy metric the focal negative sets and per-focal pair
+statistics depend only on the focal model (never on the rest of the team),
+so they are built once per call, over the models that appear in the
+requested teams, and every team's breakdown is gathered from those tables.
 
 Direction is metadata here: Yule's Q is a similarity (lower means more
 diverse); every other score is higher-is-diverse. Callers never need to
@@ -26,8 +29,11 @@ from .qmetrics import (
     DiversityScore,
     UndefinedDiversityError,
     _member_ids,
+    _row_mean,
     _subset_indices,
+    classical_batch,
     classical_scores,
+    gram,
     negative_samples,
 )
 from .sq import FocalResult, SQBreakdown, sq_alpha, sq_epsilon
@@ -85,12 +91,83 @@ class ScoreConfig:
             raise ValueError("negative_cap must be a positive integer")
 
 
-def _q_subset(cm, team, cfg):
-    if cfg.use_full_set:
-        return np.arange(cm.n_samples)
-    return negative_samples(
-        cm, team, mode=ANY_MEMBER_ERRS, seed=cfg.seed, cap=cfg.negative_cap
+# Teams are scored in batches of one size whose temporaries stay near this
+# many bytes, however many teams a sweep scores.
+_BATCH_BYTES = 1 << 20
+
+# Set bits per byte value: counts the samples of a packed row.
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
+
+def _size_batches(teams, team_bytes):
+    """Split teams into batches of one size, each in input order.
+
+    Returns (positions, members) pairs: the teams' positions in the input
+    and a (batch, k) array of their member ids. team_bytes(k) estimates one
+    team's share of a batch's temporaries.
+    """
+    by_size = {}
+    for pos, team in enumerate(teams):
+        by_size.setdefault(len(team.member_ids), []).append(pos)
+    batches = []
+    for k, positions in sorted(by_size.items()):
+        rows = max(1, _BATCH_BYTES // team_bytes(k))
+        for start in range(0, len(positions), rows):
+            chunk = positions[start:start + rows]
+            members = np.array([teams[p].member_ids for p in chunk], dtype=np.int64)
+            batches.append((chunk, members))
+    return batches
+
+
+def _undefined(metrics, team):
+    return UndefinedDiversityError(
+        metrics[0],
+        f"undefined diversity: {'/'.join(metrics)} on team "
+        f"{team.team_key} (empty evaluation subset)",
     )
+
+
+def _closed_form_classical(cm, teams, metrics, cfg):
+    """Classical scores on every team's full negative set, or on all samples
+    with use_full_set, from the Gram matrix: {metric: [score per team]}."""
+    packed = np.packbits(cm.bits, axis=1)
+    batches = _size_batches(teams, lambda k: k * packed.shape[1] + 64 * k * k)
+    removed = np.zeros(len(teams), dtype=np.int64)
+    if not cfg.use_full_set:
+        # A team's negative set drops exactly the samples all members get right.
+        for positions, members in batches:
+            all_correct = np.bitwise_and.reduce(packed[members], axis=1)
+            removed[positions] = _POPCOUNT[all_correct].sum(axis=1)
+    n = cm.n_samples - removed
+    empty = np.flatnonzero(n == 0)
+    if empty.size:
+        raise _undefined(metrics, teams[empty[0]])
+    g = gram(cm.bits)
+    scored = {metric: [None] * len(teams) for metric in metrics}
+    for positions, members in batches:
+        batch = classical_batch(g, members, n[positions], removed[positions], metrics)
+        for metric, scores in batch.items():
+            column = scored[metric]
+            for pos, score in zip(positions, scores):
+                column[pos] = score
+    return scored
+
+
+def _sampled_classical(cm, teams, metrics, cfg):
+    """Classical scores on capped negative sets, which are random subsets,
+    from each team's slice of the correctness rows."""
+    scored = {metric: [] for metric in metrics}
+    for team in teams:
+        neg = negative_samples(
+            cm, team, mode=ANY_MEMBER_ERRS, seed=cfg.seed, cap=cfg.negative_cap
+        )
+        idx = _subset_indices(neg, cm.n_samples)
+        if idx.size == 0:
+            raise _undefined(metrics, team)
+        sub = cm.bits[list(team.member_ids)][:, idx]
+        for metric, score in classical_scores(sub, metrics).items():
+            scored[metric].append(score)
+    return scored
 
 
 def score_team(pool, cm, team, metric, cfg=ScoreConfig()):
@@ -136,78 +213,81 @@ class _FocalTables:
                 self.kappa[f, a, b] = k
                 self.kappa[f, b, a] = k
 
-    def breakdown(self, team, cfg):
-        """Rotate the focal role through every member; members with no
+    def breakdowns(self, teams, cfg):
+        """SQBreakdown of every team, in input order.
+
+        The focal role rotates through every member; members with no
         negative samples are skipped, and the team score is the mean
-        combined score of the rest (0 when every focal is skipped)."""
-        members = _member_ids(team)
-        per_focal, skipped = [], set()
-        for focal in members:
-            if self.counts[focal] == 0:
-                skipped.add(focal)
-                continue
-            others = [m for m in members if m != focal]
-            eps = float(np.mean(self.acc[focal, others]))
-            if len(others) < 2:
-                alpha = 0.0
-            else:
-                pair_vals = [
-                    self.kappa[focal, others[a], others[b]]
-                    for a in range(len(others))
-                    for b in range(a + 1, len(others))
-                ]
-                alpha = float(np.mean(np.asarray(pair_vals)))
-            per_focal.append(
-                FocalResult(
-                    focal_id=focal,
-                    negative_count=int(self.counts[focal]),
-                    sq_epsilon=eps,
-                    sq_alpha=alpha,
-                    combined=cfg.w_epsilon * eps + cfg.w_alpha * alpha,
-                )
+        combined score of the rest (0 when every focal is skipped). Each
+        mean is taken over the same values in the same order as for a
+        single team, so batching never changes a score.
+        """
+        out = [None] * len(teams)
+        for positions, members in _size_batches(teams, lambda k: 64 * k * k):
+            t, k = members.shape
+            eps = np.empty((t, k))
+            alpha = np.zeros((t, k))
+            ia, ib = np.triu_indices(k - 1, k=1)
+            for j in range(k):
+                focal = members[:, j:j + 1]
+                others = np.delete(members, j, axis=1)
+                eps[:, j] = _row_mean(self.acc[focal, others])
+                if k > 2:
+                    alpha[:, j] = _row_mean(self.kappa[focal, others[:, ia], others[:, ib]])
+            combined = cfg.w_epsilon * eps + cfg.w_alpha * alpha
+            evaluated = self.counts[members] > 0
+            n_evaluated = evaluated.sum(axis=1)
+            aggregate = np.zeros(t)
+            for e in np.unique(n_evaluated[n_evaluated > 0]):
+                rows = np.flatnonzero(n_evaluated == e)
+                kept = combined[rows][evaluated[rows]].reshape(rows.size, e)
+                aggregate[rows] = _row_mean(kept)
+            columns = zip(
+                positions, members.tolist(), self.counts[members].tolist(),
+                eps.tolist(), alpha.tolist(), combined.tolist(), aggregate.tolist(),
             )
-        if per_focal:
-            aggregate = float(np.mean(np.asarray([f.combined for f in per_focal])))
-        else:
-            aggregate = 0.0
-        return SQBreakdown(
-            per_focal=tuple(per_focal),
-            aggregate=aggregate,
-            skipped_focals=frozenset(skipped),
-            all_skipped=not per_focal,
-        )
+            for pos, ids, counts, e_row, a_row, c_row, agg in columns:
+                per_focal = tuple(
+                    FocalResult(focal_id=f, negative_count=n, sq_epsilon=e,
+                                sq_alpha=a, combined=c)
+                    for f, n, e, a, c in zip(ids, counts, e_row, a_row, c_row) if n
+                )
+                out[pos] = SQBreakdown(
+                    per_focal=per_focal,
+                    aggregate=agg,
+                    skipped_focals=frozenset(f for f, n in zip(ids, counts) if not n),
+                    all_skipped=not per_focal,
+                )
+        return out
 
 
 def score_teams(pool, cm, teams, metrics, cfg=ScoreConfig()):
     """Score many teams with many metrics in one pass.
 
     Returns {metric: {team_key: DiversityScore}}. Classical-metric errors on
-    a degenerate team abort the sweep with the offending team identified.
+    a degenerate team abort the sweep naming the first such team in input
+    order.
     """
     teams = list(teams)
     metrics = [normalize_metric(m) for m in metrics]
     if len(set(metrics)) != len(metrics):
         raise ValueError("duplicate metrics requested")
-    out = {m: {} for m in metrics}
+    keys = [team.team_key for team in teams]
+    out = {}
     classical = [m for m in metrics if m != "SQ"]
-    tables = _FocalTables(pool, cm, teams, cfg) if "SQ" in metrics else None
-
-    for team in teams:
-        if classical:
-            idx = _subset_indices(_q_subset(cm, team, cfg), cm.n_samples)
-            if idx.size == 0:
-                raise UndefinedDiversityError(
-                    classical[0],
-                    f"undefined diversity: {'/'.join(classical)} on team "
-                    f"{team.team_key} (empty evaluation subset)",
-                )
-            sub = cm.bits[list(_member_ids(team))][:, idx]
-            for metric, score in classical_scores(sub, classical).items():
-                out[metric][team.team_key] = score
-        if tables is not None:
-            breakdown = tables.breakdown(team, cfg)
-            note = "all-focals-skipped" if breakdown.all_skipped else None
-            out["SQ"][team.team_key] = DiversityScore(
-                "SQ", breakdown.aggregate, detail=breakdown, note=note
+    if classical:
+        if cfg.negative_cap is None or cfg.use_full_set:
+            scored = _closed_form_classical(cm, teams, classical, cfg)
+        else:
+            scored = _sampled_classical(cm, teams, classical, cfg)
+        out.update((metric, dict(zip(keys, scored[metric]))) for metric in classical)
+    if "SQ" in metrics:
+        breakdowns = _FocalTables(pool, cm, teams, cfg).breakdowns(teams, cfg)
+        out["SQ"] = {
+            key: DiversityScore(
+                "SQ", b.aggregate, detail=b,
+                note="all-focals-skipped" if b.all_skipped else None,
             )
-    return out
+            for key, b in zip(keys, breakdowns)
+        }
+    return {metric: out[metric] for metric in metrics}

@@ -112,53 +112,88 @@ class ConsensusResult:
     accuracy: float
 
 
-def soft_vote(pool, team):
-    """Average member probability vectors, predict the argmax class.
+def _members(team):
+    return tuple(sorted(set(int(i) for i in getattr(team, "member_ids", team))))
 
-    Argmax ties resolve to the lowest class index. Output is independent of
-    member ordering.
+
+def _vote(method, total, votes, k):
+    """Predicted labels from a team's summed member probabilities (and, for
+    majority voting, its per-class vote counts)."""
+    if method == SOFT:
+        return np.argmax(total / k, axis=1)
+    tied = votes == votes.max(axis=1)[:, None]
+    return np.argmax(np.where(tied, total, -np.inf), axis=1)
+
+
+def _walk(pool, member_sets, method):
+    """Yield (members, predicted labels) for each distinct sorted member
+    tuple, in lexicographic order.
+
+    The walk keeps one running probability sum (and vote count) per depth of
+    the current member path, so a team costs one N x C add on top of its
+    longest prefix already on the path. Member probabilities are added in
+    member order, so the sums equal those of summing the members' rows one
+    after another.
     """
-    members = sorted(set(int(i) for i in getattr(team, "member_ids", team)))
-    avg = pool.probs[members].mean(axis=0)
-    predicted = np.argmax(avg, axis=1)
-    predicted.setflags(write=False)
-    accuracy = float(np.mean(predicted == pool.truth))
-    return ConsensusResult(method=SOFT, predicted=predicted, accuracy=accuracy)
-
-
-def majority_vote(pool, team):
-    """Plurality over member argmax votes.
-
-    Vote ties break by the highest summed member probability among the tied
-    classes, then by the lowest class index.
-    """
-    members = sorted(set(int(i) for i in getattr(team, "member_ids", team)))
-    votes = pool.predicted_labels()[members]
-    n, c = pool.n_samples, pool.n_classes
-    counts = np.zeros((n, c), dtype=np.int64)
-    rows = np.arange(n)
-    for row in votes:
-        counts[rows, row] += 1
-    top = counts.max(axis=1)
-    tied = counts == top[:, None]
-    summed = pool.probs[members].sum(axis=0)
-    score = np.where(tied, summed, -np.inf)
-    predicted = np.argmax(score, axis=1)
-    predicted.setflags(write=False)
-    accuracy = float(np.mean(predicted == pool.truth))
-    return ConsensusResult(method=MAJORITY, predicted=predicted, accuracy=accuracy)
+    labels = pool.predicted_labels() if method == MAJORITY else None
+    rows = np.arange(pool.n_samples)
+    path = []  # (member, probability sum, vote counts) per depth
+    for ids in sorted(set(member_sets)):
+        depth = 0
+        while depth < min(len(path), len(ids)) and path[depth][0] == ids[depth]:
+            depth += 1
+        del path[depth:]
+        for m in ids[depth:]:
+            total = path[-1][1] + pool.probs[m] if path else pool.probs[m]
+            votes = None
+            if labels is not None:
+                votes = path[-1][2].copy() if path else np.zeros(
+                    (pool.n_samples, pool.n_classes), dtype=np.int64)
+                votes[rows, labels[m]] += 1
+            path.append((m, total, votes))
+        yield ids, _vote(method, path[-1][1], path[-1][2], len(ids))
 
 
 def consensus(pool, team, method=SOFT):
+    """Fuse the team's members by soft or majority voting.
+
+    Soft voting averages the member probability vectors and predicts the
+    argmax class. Majority voting takes the plurality of member argmax
+    votes; vote ties break by the highest summed member probability among
+    the tied classes. Remaining argmax ties resolve to the lowest class
+    index. The output is independent of member ordering.
+    """
     method = normalize_method(method)
-    if method == SOFT:
-        return soft_vote(pool, team)
-    return majority_vote(pool, team)
+    [(_, predicted)] = _walk(pool, [_members(team)], method)
+    predicted.setflags(write=False)
+    accuracy = float(np.mean(predicted == pool.truth))
+    return ConsensusResult(method=method, predicted=predicted, accuracy=accuracy)
+
+
+def soft_vote(pool, team):
+    """Average member probability vectors, predict the argmax class."""
+    return consensus(pool, team, SOFT)
+
+
+def majority_vote(pool, team):
+    """Plurality over member argmax votes (see consensus for tie-breaks)."""
+    return consensus(pool, team, MAJORITY)
 
 
 def team_accuracy_table(pool, teams, method=SOFT):
-    """Consensus accuracy for every team, keyed by team_key."""
+    """Consensus accuracy for every team, keyed by team_key.
+
+    One walk over the teams' member tuples shares each prefix's running sums
+    among all teams that extend it; the accuracies equal consensus on each
+    team.
+    """
     teams = list(teams)
     if not teams:
         raise ValueError("team_accuracy_table needs at least one team")
-    return {team.team_key: consensus(pool, team, method).accuracy for team in teams}
+    method = normalize_method(method)
+    members = [_members(team) for team in teams]
+    accuracy = {
+        ids: float(np.mean(predicted == pool.truth))
+        for ids, predicted in _walk(pool, members, method)
+    }
+    return {team.team_key: accuracy[ids] for team, ids in zip(teams, members)}

@@ -11,7 +11,7 @@ from sqdiv.pool import correctness, load_pool, write_pool
 from sqdiv.scoring import ScoreConfig, score_team
 from sqdiv.teams import make_team, soft_vote
 
-from _pools import pool_from_labels
+from _pools import pool_from_labels, random_pool
 
 
 def run(args, capsys):
@@ -281,6 +281,27 @@ def test_bad_flag_is_usage_error(sim_pool, tmp_path, capsys, argv):
     code, _, _ = run(argv + ["--out", str(out)], capsys)
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("models, argv, message", [
+    (4, ["evaluate", "--min-size", "4"], "--min-size 4 --max-size 4 leave 1 candidate team"),
+    (4, ["evaluate", "--min-size", "3", "--max-size", "3"], None),
+    (17, ["evaluate"], "131054 candidate teams on a 17-model pool exceed the budget"),
+    (17, ["select", "--metric", "ck"], "131054 candidate teams on a 17-model pool"),
+], ids=str)
+def test_team_count_is_checked_before_scoring(tmp_path, capsys, models, argv, message):
+    """evaluate needs 2 teams to correlate, and no command enumerates more
+    teams than the budget; both are usage errors decided before --out."""
+    manifest = write_pool(random_pool(3, models, 6, 3), tmp_path / "pool")
+    out = tmp_path / "out"
+    code, _, err = run(argv + ["--pool", str(manifest), "--out", str(out)], capsys)
+    if message is None:
+        assert code == 0
+        assert out.exists()
+    else:
+        assert code == 2
+        assert message in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("config, key", [

@@ -1,0 +1,171 @@
+"""The batched team sweep against the per-team paths and the naive oracles.
+
+score_teams scores teams in batches of one size: the classical metrics from
+the pool's correctness Gram matrix, SQ by gathering from per-focal tables.
+Each score must equal the per-team computation exactly (classical_scores on
+the team's own slice of the correctness rows; sq_epsilon/sq_alpha on each
+focal's negative set) and the oracles in tests/_reference.py at 1e-12.
+team_accuracy_table walks the teams along shared member prefixes and must
+reproduce the reference votes exactly.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import _reference as ref
+from _pools import pool_from_labels, pool_from_probs, random_pool
+from sqdiv.pool import correctness
+from sqdiv.qmetrics import FOCAL_ERRS, UndefinedDiversityError, classical_scores, negative_samples
+from sqdiv.scoring import ScoreConfig, score_team, score_teams
+from sqdiv.sq import sq_alpha, sq_epsilon
+from sqdiv.teams import MAJORITY, SOFT, consensus, enumerate_teams, team_accuracy_table
+
+CLASSICAL = {
+    "CK": ref.ck_diversity,
+    "QS": ref.q_statistic,
+    "BD": ref.binary_disagreement,
+    "GD": ref.generalized_diversity,
+    "KW": ref.kohavi_wolpert,
+}
+
+# Rows rewritten after the random draw: each makes a degenerate member.
+CLONE, COMPLEMENT, ALL_CORRECT = "clone", "complement", "all-correct"
+
+
+def _degenerate_pool(rng, m, n, c, structure):
+    """Label pool whose rows are random, then rewritten per structure:
+    (kind, row, source) makes row a clone or a correctness complement of
+    source, or a model that is always right."""
+    truth = rng.integers(0, c, size=n)
+    labels = np.where(rng.random((m, n)) < 0.6, truth, (truth + rng.integers(1, c, size=n)) % c)
+    for kind, row, source in structure:
+        row, source = row % m, source % m
+        if kind == CLONE:
+            labels[row] = labels[source]
+        elif kind == COMPLEMENT:
+            labels[row] = np.where(labels[source] == truth, (truth + 1) % c, truth)
+        else:
+            labels[row] = truth
+    return pool_from_labels(labels, truth, c)
+
+
+def _team_list(rng, m, count):
+    teams = list(enumerate_teams(m))
+    picked = rng.choice(len(teams), size=min(count, len(teams)), replace=False)
+    return [teams[i] for i in picked]  # random subset in random order
+
+
+structures = st.lists(
+    st.tuples(st.sampled_from((CLONE, COMPLEMENT, ALL_CORRECT)),
+              st.integers(0, 11), st.integers(0, 11)),
+    max_size=4,
+)
+configs = st.builds(
+    ScoreConfig,
+    w_epsilon=st.sampled_from((1.0, 0.3, 0.0)),
+    w_alpha=st.sampled_from((1.0, 1.7, 0.0)),
+    use_full_set=st.booleans(),
+    alpha_on_labels=st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(2, 12), structure=structures, cfg=configs)
+# Models 0 and 1 are always right: team 01 has an empty negative set, and
+# every focal of it is skipped by SQ.
+@example(seed=5, m=3, structure=[(ALL_CORRECT, 0, 0), (ALL_CORRECT, 1, 0)], cfg=ScoreConfig())
+@example(seed=6, m=4, structure=[(ALL_CORRECT, 2, 0), (ALL_CORRECT, 3, 0)],
+         cfg=ScoreConfig(use_full_set=True, alpha_on_labels=False))
+def test_sweep_equals_per_team_paths_and_oracles(seed, m, structure, cfg):
+    rng = np.random.default_rng(seed)
+    n, c = int(rng.integers(4, 30)), int(rng.integers(2, 5))
+    pool = _degenerate_pool(rng, m, n, c, structure)
+    cm = correctness(pool)
+    teams = _team_list(rng, m, 25)
+    everything = list(range(n))
+    subsets = [
+        everything if cfg.use_full_set
+        else [j for j in everything if not cm.bits[list(t.member_ids), j].all()]
+        for t in teams
+    ]
+
+    empty = [t.team_key for t, subset in zip(teams, subsets) if not subset]
+    if empty:
+        # Only the negative sets can be empty, and the sweep names the first
+        # offending team in input order.
+        with pytest.raises(UndefinedDiversityError, match=f"team {empty[0]} "):
+            score_teams(pool, cm, teams, list(CLASSICAL), cfg)
+    else:
+        sweep = score_teams(pool, cm, teams, list(CLASSICAL), cfg)
+        for team, subset in zip(teams, subsets):
+            members = list(team.member_ids)
+            per_team = classical_scores(cm.bits[members][:, subset], list(CLASSICAL))
+            for metric, oracle in CLASSICAL.items():
+                got = sweep[metric][team.team_key]
+                assert got == per_team[metric], (metric, team.team_key)
+                want = oracle(cm.bits, members, subset)
+                assert got.value == pytest.approx(want, abs=1e-12), (metric, team.team_key)
+
+    sq = score_teams(pool, cm, teams, ["SQ"], cfg)["SQ"]
+    labels = pool.predicted_labels()
+    for team in teams:
+        members = list(team.member_ids)
+        got = sq[team.team_key]
+        assert got == score_team(pool, cm, team, "SQ", cfg)
+        evaluated, skipped, aggregate = ref.sq_breakdown(
+            labels, cm.bits, members, pool.n_classes, cfg.w_epsilon, cfg.w_alpha,
+            cfg.alpha_on_labels,
+        )
+        assert got.value == pytest.approx(aggregate, abs=1e-12)
+        assert got.detail.skipped_focals == skipped
+        assert got.note == ("all-focals-skipped" if not evaluated else None)
+        assert [f.focal_id for f in got.detail.per_focal] == sorted(evaluated)
+        for focal in got.detail.per_focal:
+            neg = negative_samples(cm, members, mode=FOCAL_ERRS, focal_id=focal.focal_id)
+            assert focal.sq_epsilon == sq_epsilon(cm, members, focal.focal_id, neg)
+            assert focal.sq_alpha == sq_alpha(
+                pool, members, focal.focal_id, neg, on_labels=cfg.alpha_on_labels
+            )
+            count, eps, alpha, combined = evaluated[focal.focal_id]
+            assert focal.negative_count == count
+            assert focal.combined == pytest.approx(combined, abs=1e-12)
+
+
+def test_sweep_batches_of_many_teams_equal_single_teams():
+    """Batches span several chunks at this size; every score is the one the
+    team gets when scored alone."""
+    pool = random_pool(41, 11, 40, 3)
+    cm = correctness(pool)
+    teams = list(enumerate_teams(11))
+    metrics = [*CLASSICAL, "SQ"]
+    for cfg in (ScoreConfig(), ScoreConfig(use_full_set=True, alpha_on_labels=False)):
+        sweep = score_teams(pool, cm, teams, metrics, cfg)
+        assert list(sweep) == metrics
+        for metric in metrics:
+            assert list(sweep[metric]) == [t.team_key for t in teams]
+        for team in teams[::37]:
+            for metric in metrics:
+                assert sweep[metric][team.team_key] == score_team(pool, cm, team, metric, cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(2, 12), clones=st.booleans())
+def test_accuracy_table_equals_reference_votes(seed, m, clones):
+    rng = np.random.default_rng(seed)
+    pool = random_pool(seed, m, int(rng.integers(3, 25)), int(rng.integers(2, 5)))
+    if clones:
+        probs = np.array(pool.probs)
+        probs[-1] = probs[0]
+        pool = pool_from_probs(probs, pool.truth)
+    teams = _team_list(rng, m, 30)
+    teams = teams + teams[: len(teams) // 3]  # repeated teams
+    for method, oracle in ((SOFT, ref.soft_vote_labels), (MAJORITY, ref.majority_vote_labels)):
+        table = team_accuracy_table(pool, teams, method)
+        assert list(table) == list(dict.fromkeys(t.team_key for t in teams))
+        for team in teams:
+            predicted = oracle(pool.probs, list(team.member_ids))
+            want = float(np.mean(np.asarray(predicted) == pool.truth))
+            assert table[team.team_key] == pytest.approx(want, abs=0)
+            assert consensus(pool, team, method).predicted.tolist() == predicted
