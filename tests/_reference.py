@@ -6,6 +6,8 @@ library's vectorized paths, so agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from itertools import combinations
 
@@ -177,3 +179,28 @@ def pearson(xs, ys):
     vx = sum((x - mx) ** 2 for x in xs)
     vy = sum((y - my) ** 2 for y in ys)
     return num / math.sqrt(vx * vy)
+
+
+def write_pool_csv(pool, out_dir):
+    """Row-by-row pool writer: csv.writer with repr(float(v)) per cell."""
+    with (out_dir / "labels.csv").open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_id", "true_label"])
+        for sid, t in zip(pool.sample_ids, pool.truth):
+            writer.writerow([sid, pool.classes[int(t)]])
+
+    header = ["sample_id"] + [f"p_{c}" for c in pool.classes]
+    entries = []
+    for rec in pool.models:
+        fname = f"model_{rec.model_id:02d}.csv"
+        with (out_dir / fname).open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for j, sid in enumerate(pool.sample_ids):
+                writer.writerow([sid] + [repr(float(v)) for v in pool.probs[rec.model_id, j]])
+        entries.append({"id": rec.model_id, "name": rec.name, "predictions_path": fname})
+
+    manifest = {"classes": list(pool.classes), "labels_path": "labels.csv", "models": entries}
+    (out_dir / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )

@@ -323,6 +323,33 @@ def test_bad_config_is_usage_error(sim_pool, tmp_path, capsys, config, key):
     assert not out.exists()
 
 
+def _set(key, value):
+    return lambda manifest: manifest.update({key: value})
+
+
+def _string_entry(manifest):
+    manifest["models"][1] = manifest["models"][1]["predictions_path"]
+
+
+@pytest.mark.parametrize("edit, key", [
+    (_set("models", [1, 2]), "'models' entry 0"),
+    (_set("classes", 5), "'classes'"),
+    (_set("labels_path", 5), "'labels_path'"),
+    (_string_entry, "'models' entry 1"),
+    (lambda manifest: manifest["models"][0].update(id=[0]), "'models' entry 0: 'id'"),
+], ids=["int-entries", "int-classes", "int-labels-path", "string-entry", "list-id"])
+def test_malformed_manifest_is_a_load_error(sim_pool, tmp_path, capsys, edit, key):
+    manifest = json.loads(sim_pool.read_text())
+    edit(manifest)
+    sim_pool.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    code, _, err = run(["select", "--pool", str(sim_pool), "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: manifest key ") and err.count("\n") == 1
+    assert key in err and str(sim_pool) in err
+    assert not out.exists()
+
+
 def test_config_ignores_other_subcommands_flags(sim_pool, tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"metrics": "bd", "topk": 5}))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sqdiv.pool import (
     write_pool,
 )
 
+import _reference as ref
 from _pools import pool_from_probs, random_pool
 
 
@@ -107,21 +109,135 @@ def test_malformed_rows(write_manifest, tmp_path):
         model_rows=[{"s1": (1.0, 0.0)}, {"s1": (1.0, 0.0)}],
     )
     bad = tmp_path / "preds_0.csv"
-    bad.write_text("sample_id,p_a,p_b\ns1,0.5,oops\n")
-    with pytest.raises(PoolFormatError, match="malformed row"):
+
+    def fault(text, match):
+        bad.write_text(text)
+        with pytest.raises(PoolFormatError, match=match) as info:
+            load_pool(manifest)
+        return str(info.value)
+
+    def located(message, line):
+        return message.startswith(f"{bad}, line {line}: ") and "model 'model-0'" in message
+
+    message = fault("sample_id,p_a,p_b\ns1,0.5,oops\n", "malformed row")
+    assert located(message, 2) and "cannot parse 'oops'" in message
+    message = fault("sample_id,p_a,p_b\ns1,0.5\n", "malformed row")
+    assert located(message, 2) and "['s1', '0.5']" in message
+    fault("sample_id,p_wat,p_b\ns1,0.5,0.5\n", "header")
+    message = fault("sample_id,p_a,p_b\ns1,0.5,0.5\ns1,0.5,0.5\n", "duplicate sample_id")
+    assert located(message, 3) and "'s1'" in message
+    message = fault("sample_id,p_a,p_b\ns1,-0.2,1.2\n", "out of range")
+    assert located(message, 2) and "sample 's1'" in message
+    message = fault("sample_id,p_a,p_b\ns1,0.7,0.7\n", "probability normalization")
+    assert located(message, 2) and "sums to 1.40000000" in message
+
+    # Lines count blank lines and line breaks inside quoted ids.
+    message = fault('sample_id,p_a,p_b\n\n"s\n1",0.5,0.5\n"s\n1",0.5,0.5\n', "duplicate")
+    assert located(message, 5)
+    # Checks run over the whole file in the order width, duplicate, parse,
+    # range, sum: the first fault found is not the first one by line.
+    message = fault("sample_id,p_a,p_b\ns1,0.5,oops\ns2,0.5\n", "malformed row")
+    assert located(message, 3) and "['s2', '0.5']" in message
+    message = fault("sample_id,p_a,p_b\ns1,0.7,0.7\ns2,nan,0.5\n", "out of range")
+    assert located(message, 3) and "sample 's2'" in message
+    # Faults of the csv module and of the text encoding name the file too.
+    message = fault('sample_id,p_a,p_b\n"s1,0.5,0.5\n' + "x" * 200_000 + "\n", "field limit")
+    assert message.startswith(f"{bad}, line ")
+    bad.write_bytes(b"sample_id,p_a,p_b\ns\xe91,1.0,0.0\n")
+    with pytest.raises(PoolFormatError, match=f"not UTF-8 text: {re.escape(str(bad))}"):
         load_pool(manifest)
-    bad.write_text("sample_id,p_a,p_b\ns1,0.5\n")
-    with pytest.raises(PoolFormatError, match="malformed row"):
-        load_pool(manifest)
-    bad.write_text("sample_id,p_wat,p_b\ns1,0.5,0.5\n")
-    with pytest.raises(PoolFormatError, match="header"):
-        load_pool(manifest)
-    bad.write_text("sample_id,p_a,p_b\ns1,0.5,0.5\ns1,0.5,0.5\n")
-    with pytest.raises(PoolFormatError, match="duplicate sample_id"):
-        load_pool(manifest)
-    bad.write_text("sample_id,p_a,p_b\ns1,-0.2,1.2\n")
-    with pytest.raises(PoolFormatError, match="out of range"):
-        load_pool(manifest)
+
+    labels = tmp_path / "labels.csv"
+    bad.write_text("sample_id,p_a,p_b\ns1,1.0,0.0\n")
+    for text, match, line in [
+        ("sample_id,true_label\ns1,a,b\n", "malformed row in labels file", 2),
+        ("sample_id,true_label\ns1,a\ns1,b\n", "duplicate sample_id 's1'", 3),
+        ("sample_id,true_label\ns0,a\n\ns1,weasel\n", "unknown class label 'weasel'", 4),
+    ]:
+        labels.write_text(text)
+        with pytest.raises(PoolFormatError, match=match) as info:
+            load_pool(manifest)
+        assert str(info.value).startswith(f"{labels}, line {line}: ")
+
+
+def _edit(name, old, new):
+    """Replace `old` by `new` in one file of the pool directory."""
+    return lambda fname, text: text.replace(old, new) if fname == name else text
+
+
+# Each variant of a valid pool directory, and the error it gives (None: the
+# pool loads unchanged).
+INPUT_VARIANTS = {
+    "utf-8 bom": (lambda fname, text: "\ufeff" + text, None),
+    "crlf": (lambda fname, text: text.replace("\n", "\r\n"), None),
+    "blank lines": (lambda fname, text: "\n" + text.replace("\n", "\n\n") + "\r\n", None),
+    "padded id": (
+        _edit("preds_1.csv", "s2,", " s2 ,"),
+        r"sample coverage mismatch for model 'model-1' in .*preds_1\.csv; "
+        r"missing \['s2'\]; unexpected \[' s2 '\]",
+    ),
+    "nan cell": (
+        _edit("preds_0.csv", "s2,0.3,", "s2,nan,"),
+        r"preds_0\.csv, line 3: probability out of range for model 'model-0', sample 's2'",
+    ),
+    "inf cell": (
+        _edit("preds_1.csv", "s1,0.6,", "s1,inf,"),
+        r"preds_1\.csv, line 2: probability out of range for model 'model-1', sample 's1'",
+    ),
+    "labels without rows": (
+        lambda fname, text: "sample_id,true_label\n" if fname == "labels.csv" else text,
+        r"labels file has no rows: .*labels\.csv",
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", list(INPUT_VARIANTS))
+def test_input_variants(write_manifest, tmp_path, variant):
+    manifest = write_manifest(
+        classes=["a", "b"],
+        labels=[("s1", "a"), ("s2", "b")],
+        model_rows=[
+            {"s1": (0.9, 0.1), "s2": (0.3, 0.7)},
+            {"s1": (0.6, 0.4), "s2": (0.2, 0.8)},
+        ],
+    )
+    clean = load_pool(manifest)
+    edit, error = INPUT_VARIANTS[variant]
+    for path in tmp_path.glob("*.csv"):
+        text = path.read_text(encoding="utf-8")
+        path.write_bytes(edit(path.name, text).encode("utf-8"))
+    if error is None:
+        assert load_pool(manifest).fingerprint() == clean.fingerprint()
+    else:
+        with pytest.raises(PoolFormatError, match=error):
+            load_pool(manifest)
+
+
+@pytest.mark.parametrize("cell", [" 0.5", "1_0", "nan", "infinity", "0x1p-2", ""])
+def test_cells_parse_as_float_does(write_manifest, tmp_path, cell):
+    manifest = write_manifest(
+        classes=["a", "b"],
+        labels=[("s1", "a")],
+        model_rows=[{"s1": (0.5, 0.5)}, {"s1": (0.5, 0.5)}],
+    )
+    preds = tmp_path / "preds_0.csv"
+
+    def outcome(text):
+        preds.write_text(f"sample_id,p_a,p_b\ns1,{text},0.5\n")
+        try:
+            return load_pool(manifest).probs.tobytes()
+        except PoolFormatError as exc:
+            return str(exc)
+
+    try:
+        value = float(cell)
+    except ValueError:
+        assert outcome(cell) == (
+            f"{preds}, line 2: malformed row for model 'model-0': "
+            f"cannot parse {cell!r} as a number"
+        )
+    else:
+        assert outcome(cell) == outcome(repr(value))
 
 
 def test_scientific_notation_accepted(write_manifest):
@@ -254,3 +370,62 @@ def test_random_pool_round_trips(tmp_path_factory, seed, m, n, c):
     again = load_pool(write_pool(pool, out))
     assert again.fingerprint() == pool.fingerprint()
     assert np.abs(again.probs.sum(axis=2) - 1.0).max() <= 1e-6
+
+
+def test_constructor_names_model_and_sample():
+    ids = ("x", "y")
+    with pytest.raises(PoolFormatError, match=r"^probability normalization: row sums to "
+                       r"1\.40000000 for model 'm0', sample 'y'$"):
+        pool_from_probs([[(0.5, 0.5), (0.7, 0.7)], [(0.5, 0.5), (0.5, 0.5)]], [0, 0],
+                        sample_ids=ids)
+    # Out-of-range entries are found before sums off 1, wherever they are.
+    with pytest.raises(PoolFormatError,
+                       match=r"^probability out of range for model 'm1', sample 'x'$"):
+        pool_from_probs([[(0.5, 0.5), (0.7, 0.7)], [(np.inf, 0.0), (0.5, 0.5)]], [0, 0],
+                        sample_ids=ids)
+    drifting = np.array([0.6, 0.4 + 5e-7])
+    pool = pool_from_probs([[drifting], [(0.5, 0.5)]], [0])
+    assert pool.probs[0, 0].tolist() == (drifting / drifting.sum()).tolist()
+
+
+_ID_TEXT = st.text(st.sampled_from(list('ab ,"\r\né漢')), max_size=5)
+_CLASS_TEXT = st.text(st.sampled_from(list('xy,"é')), min_size=1, max_size=3)
+# Values a writer could get wrong: zero, the smallest subnormal, a tiny
+# normal, the smallest normal, and a value that needs 17 significant digits.
+_EDGE_CELLS = [0.0, 5e-324, 1e-300, 2.2250738585072014e-308, 1.2345678901234567e-05]
+
+
+@st.composite
+def _awkward_pools(draw):
+    ids = draw(st.lists(_ID_TEXT, min_size=1, max_size=6, unique=True))
+    classes = draw(st.lists(_CLASS_TEXT, min_size=2, max_size=4, unique=True))
+    m, n, c = draw(st.integers(2, 3)), len(ids), len(classes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.random((m, n, c)) + 1e-3
+    probs = raw / raw.sum(axis=2, keepdims=True)
+    cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1),
+                      st.integers(0, c - 1), st.sampled_from(_EDGE_CELLS))
+    for i, j, k, value in draw(st.lists(cells, max_size=8)):
+        # Move the mass onto the next class, so the row still sums to 1.
+        if value <= probs[i, j, k]:
+            probs[i, j, (k + 1) % c] += probs[i, j, k] - value
+            probs[i, j, k] = value
+    truth = rng.integers(0, c, size=n)
+    return pool_from_probs(probs, truth, classes=classes, sample_ids=ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool=_awkward_pools())
+def test_write_pool_matches_row_writer_and_round_trips(tmp_path_factory, pool):
+    out = tmp_path_factory.mktemp("pool")
+    expected = tmp_path_factory.mktemp("reference")
+    again = load_pool(write_pool(pool, out))
+    assert again.fingerprint() == pool.fingerprint()
+    assert again.sample_ids == pool.sample_ids
+    assert again.probs.tobytes() == pool.probs.tobytes()
+
+    ref.write_pool_csv(pool, expected)
+    names = sorted(p.name for p in expected.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name
