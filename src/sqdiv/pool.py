@@ -313,7 +313,10 @@ def _read_predictions(path, classes, model):
     """
     header, rows = _read_rows(path, "predictions")
     expected = ["sample_id"] + [f"p_{c}" for c in classes]
-    if [h.strip() for h in header] != expected:
+    # Header fields match with edge whitespace stripped on both sides, so a
+    # padded header is accepted as in the labels file, and a class name
+    # with edge whitespace (kept verbatim, like sample ids) still matches.
+    if [h.strip() for h in header] != [e.strip() for e in expected]:
         raise PoolFormatError(
             f"predictions header for model {model!r} must be "
             f"{','.join(expected)}: {path}"

@@ -37,7 +37,7 @@ from .qmetrics import (
     negative_samples,
 )
 from .sq import FocalResult, SQBreakdown, sq_alpha, sq_epsilon
-from .teams import EnsembleTeam, make_team
+from .teams import EnsembleTeam, _size_batches, make_team
 
 METRICS = ("CK", "QS", "BD", "GD", "KW", "SQ")
 
@@ -91,32 +91,8 @@ class ScoreConfig:
             raise ValueError("negative_cap must be a positive integer")
 
 
-# Teams are scored in batches of one size whose temporaries stay near this
-# many bytes, however many teams a sweep scores.
-_BATCH_BYTES = 1 << 20
-
 # Set bits per byte value: counts the samples of a packed row.
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
-
-
-def _size_batches(teams, team_bytes):
-    """Split teams into batches of one size, each in input order.
-
-    Returns (positions, members) pairs: the teams' positions in the input
-    and a (batch, k) array of their member ids. team_bytes(k) estimates one
-    team's share of a batch's temporaries.
-    """
-    by_size = {}
-    for pos, team in enumerate(teams):
-        by_size.setdefault(len(team.member_ids), []).append(pos)
-    batches = []
-    for k, positions in sorted(by_size.items()):
-        rows = max(1, _BATCH_BYTES // team_bytes(k))
-        for start in range(0, len(positions), rows):
-            chunk = positions[start:start + rows]
-            members = np.array([teams[p].member_ids for p in chunk], dtype=np.int64)
-            batches.append((chunk, members))
-    return batches
 
 
 def _undefined(metrics, team):
@@ -131,7 +107,9 @@ def _closed_form_classical(cm, teams, metrics, cfg):
     """Classical scores on every team's full negative set, or on all samples
     with use_full_set, from the Gram matrix: {metric: [score per team]}."""
     packed = np.packbits(cm.bits, axis=1)
-    batches = _size_batches(teams, lambda k: k * packed.shape[1] + 64 * k * k)
+    batches = _size_batches(
+        [t.member_ids for t in teams], lambda k: k * packed.shape[1] + 64 * k * k
+    )
     removed = np.zeros(len(teams), dtype=np.int64)
     if not cfg.use_full_set:
         # A team's negative set drops exactly the samples all members get right.
@@ -223,7 +201,9 @@ class _FocalTables:
         single team, so batching never changes a score.
         """
         out = [None] * len(teams)
-        for positions, members in _size_batches(teams, lambda k: 64 * k * k):
+        for positions, members in _size_batches(
+            [t.member_ids for t in teams], lambda k: 64 * k * k
+        ):
             t, k = members.shape
             eps = np.empty((t, k))
             alpha = np.zeros((t, k))

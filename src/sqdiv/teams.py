@@ -3,6 +3,19 @@
 Team keys follow the compact convention: pools of up to 10 models join the
 single-digit member ids directly ("139" is the team {1, 3, 9}); larger
 pools hyphenate ("1-3-11"). Soft voting is the default consensus.
+
+There is one vote step: a team's member probability rows are summed in
+member order and _vote applies the tie rules. team_accuracy_table runs it
+only on the (team, sample) cells a screen leaves open. The screen sums, per
+cell, one number per member whose total bounds the truth class's lead over
+every other class from below (surely right above 0) and its lead over one
+rival class from above (surely wrong below 0). Majority vote counts are
+integers, so their screen is exact. Soft-voting sums are floats, so a cell
+is decided only when its sum clears 0 by _DELTA = 1e-9. A float sum over k
+members of values in [-1, 1] is off by less than k * k * 1.2e-16 (3e-14 for
+16 members), both in the screen and in the exact vote's class sums, so a
+decided cell is never a near-tie and the exact vote cannot disagree with
+it, the lowest-index tie rule included.
 """
 
 from __future__ import annotations
@@ -112,6 +125,31 @@ class ConsensusResult:
     accuracy: float
 
 
+# Teams are handled in batches of one size whose temporaries stay near this
+# many bytes, however many teams a call covers.
+_BATCH_BYTES = 1 << 20
+
+
+def _size_batches(member_sets, team_bytes):
+    """Split member tuples into batches of one size, each in input order.
+
+    Returns (positions, members) pairs: the tuples' positions in the input
+    and a (batch, k) array of their member ids. team_bytes(k) estimates one
+    team's share of a batch's temporaries.
+    """
+    by_size = {}
+    for pos, ids in enumerate(member_sets):
+        by_size.setdefault(len(ids), []).append(pos)
+    batches = []
+    for k, positions in sorted(by_size.items()):
+        rows = max(1, _BATCH_BYTES // team_bytes(k))
+        for start in range(0, len(positions), rows):
+            chunk = positions[start:start + rows]
+            members = np.array([member_sets[p] for p in chunk], dtype=np.int64)
+            batches.append((chunk, members))
+    return batches
+
+
 def _members(team):
     return tuple(sorted(set(int(i) for i in getattr(team, "member_ids", team))))
 
@@ -125,33 +163,23 @@ def _vote(method, total, votes, k):
     return np.argmax(np.where(tied, total, -np.inf), axis=1)
 
 
-def _walk(pool, member_sets, method):
-    """Yield (members, predicted labels) for each distinct sorted member
-    tuple, in lexicographic order.
-
-    The walk keeps one running probability sum (and vote count) per depth of
-    the current member path, so a team costs one N x C add on top of its
-    longest prefix already on the path. Member probabilities are added in
-    member order, so the sums equal those of summing the members' rows one
-    after another.
-    """
-    labels = pool.predicted_labels() if method == MAJORITY else None
-    rows = np.arange(pool.n_samples)
-    path = []  # (member, probability sum, vote counts) per depth
-    for ids in sorted(set(member_sets)):
-        depth = 0
-        while depth < min(len(path), len(ids)) and path[depth][0] == ids[depth]:
-            depth += 1
-        del path[depth:]
-        for m in ids[depth:]:
-            total = path[-1][1] + pool.probs[m] if path else pool.probs[m]
-            votes = None
-            if labels is not None:
-                votes = path[-1][2].copy() if path else np.zeros(
-                    (pool.n_samples, pool.n_classes), dtype=np.int64)
-                votes[rows, labels[m]] += 1
-            path.append((m, total, votes))
-        yield ids, _vote(method, path[-1][1], path[-1][2], len(ids))
+def _exact_votes(pool, method, members, samples):
+    """Predicted label of each cell: cell i is the team members[i] voting
+    on sample samples[i]. Member probability rows are summed in member
+    order, so every cell gets the sums consensus on its team computes."""
+    rows = members * pool.n_samples + samples[:, None]  # into (M * N, C) rows
+    probs = pool.probs.reshape(-1, pool.n_classes)
+    total = probs.take(rows[:, 0], axis=0)
+    for column in rows.T[1:]:
+        total += probs.take(column, axis=0)
+    votes = None
+    if method == MAJORITY:
+        labels = pool.predicted_labels().reshape(-1)
+        offsets = np.arange(0, total.size, pool.n_classes)
+        votes = np.zeros(total.shape, dtype=np.int64)
+        for column in rows.T:
+            votes.reshape(-1)[offsets + labels.take(column)] += 1
+    return _vote(method, total, votes, members.shape[1])
 
 
 def consensus(pool, team, method=SOFT):
@@ -164,7 +192,11 @@ def consensus(pool, team, method=SOFT):
     index. The output is independent of member ordering.
     """
     method = normalize_method(method)
-    [(_, predicted)] = _walk(pool, [_members(team)], method)
+    members = np.array(_members(team), dtype=np.int64)
+    samples = np.arange(pool.n_samples)
+    predicted = _exact_votes(
+        pool, method, np.broadcast_to(members, (samples.size, members.size)), samples
+    )
     predicted.setflags(write=False)
     accuracy = float(np.mean(predicted == pool.truth))
     return ConsensusResult(method=method, predicted=predicted, accuracy=accuracy)
@@ -180,20 +212,106 @@ def majority_vote(pool, team):
     return consensus(pool, team, MAJORITY)
 
 
+# How far a soft-voting screen sum must clear 0 (see the module docstring).
+_DELTA = 1e-9
+
+
+def _rival(scores, truth):
+    """Per sample, the wrong class with the highest score (scores is
+    overwritten)."""
+    scores[np.arange(truth.size), truth] = -np.inf
+    return scores.argmax(axis=1)
+
+
+def _screen_rows(pool, method):
+    """(M, 2N) per-model rows whose sums over a team screen its cells.
+
+    Soft voting: the margin p[truth] - max over wrong classes of p, then the
+    gap p[truth] - p[rival], where rival is the wrong class with the most
+    probability over the pool. Majority voting, with t and r the 0/1 votes
+    for the truth and for the rival, the wrong class with the most votes
+    over the pool: t - r, then 2t + r. Each row is built from one model's
+    (N, C) block, never from a copy of the whole pool.
+    """
+    truth, n = pool.truth, pool.n_samples
+    cells = np.arange(n)
+    if method == MAJORITY:
+        labels = pool.predicted_labels()
+        counts = np.zeros((n, pool.n_classes))
+        for row in labels:
+            counts[cells, row] += 1
+        t = (labels == truth).astype(np.float64)
+        r = (labels == _rival(counts, truth)).astype(np.float64)
+        return np.concatenate([t - r, 2 * t + r], axis=1)
+    rival = _rival(pool.probs.sum(axis=0), truth)
+    rows = np.empty((pool.n_models, 2 * n))
+    for m, probs in enumerate(pool.probs):
+        right = probs[cells, truth]
+        wrong = probs.copy()
+        wrong[cells, truth] = -np.inf
+        rows[m, :n] = right - wrong.max(axis=1)
+        rows[m, n:] = right - probs[cells, rival]
+    return rows
+
+
+def _screen_batch(rows, batch, method):
+    """Screen one batch of teams of one size with _screen_rows: per team,
+    the count of cells surely right, and the (team, sample) indices of the
+    open cells."""
+    t, k = batch.shape
+    held = np.zeros((t, len(rows)))
+    held[np.arange(t)[:, None], batch] = 1.0
+    sums = held @ rows
+    n = sums.shape[1] // 2
+    first, second = sums[:, :n], sums[:, n:]
+    if method == SOFT:
+        right = first > _DELTA
+        wrong = second < -_DELTA
+    else:
+        right = (first > 0) & (second > k)
+        wrong = first < 0
+    return right.sum(axis=1), np.nonzero(~(right | wrong))
+
+
 def team_accuracy_table(pool, teams, method=SOFT):
     """Consensus accuracy for every team, keyed by team_key.
 
-    One walk over the teams' member tuples shares each prefix's running sums
-    among all teams that extend it; the accuracies equal consensus on each
-    team.
+    The accuracies equal consensus on each team. Teams go in batches of one
+    size; a batch's 0/1 member matrix H times the (M, 2N) screen rows gives
+    two sums per (team, sample) cell, which decide most cells outright:
+
+    - soft voting: surely right when the summed margins exceed _DELTA,
+      surely wrong when the summed gaps fall below -_DELTA. The threshold
+      is far above the rounding of these sums and of the exact vote's
+      class sums, so no exact vote could decide such a cell otherwise;
+    - majority voting: with tv votes for the truth and rv for the rival,
+      surely right when tv > rv and tv > k - tv - rv (the truth out-polls
+      every other class), surely wrong when rv > tv. The sums are the
+      exact counts tv - rv and 2 tv + rv.
+
+    Every other cell gets the exact vote consensus computes, its members'
+    probability rows summed in member order and the same tie rules.
     """
     teams = list(teams)
     if not teams:
         raise ValueError("team_accuracy_table needs at least one team")
     method = normalize_method(method)
-    members = [_members(team) for team in teams]
-    accuracy = {
-        ids: float(np.mean(predicted == pool.truth))
-        for ids, predicted in _walk(pool, members, method)
-    }
-    return {team.team_key: accuracy[ids] for team, ids in zip(teams, members)}
+    distinct = list(dict.fromkeys(team.member_ids for team in teams))
+    n = pool.n_samples
+    rows = _screen_rows(pool, method)
+    correct = np.zeros(len(distinct), dtype=np.int64)
+    # Per team and sample: two float64 sums and at most eight bytes of masks.
+    batches = _size_batches(distinct, lambda k: 24 * n)
+    # Per exactly voted cell: at most five (C,) arrays of 8-byte values.
+    cells_per_piece = max(1, _BATCH_BYTES // (40 * pool.n_classes))
+    for positions, batch in batches:
+        # The batch's sums are freed before its open cells are voted.
+        hits, (team, sample) = _screen_batch(rows, batch, method)
+        for start in range(0, team.size, cells_per_piece):
+            piece = slice(start, start + cells_per_piece)
+            predicted = _exact_votes(pool, method, batch[team[piece]], sample[piece])
+            ok = predicted == pool.truth[sample[piece]]
+            hits += np.bincount(team[piece][ok], minlength=len(batch))
+        correct[positions] = hits
+    accuracy = dict(zip(distinct, (correct / n).tolist()))
+    return {team.team_key: accuracy[team.member_ids] for team in teams}

@@ -5,8 +5,9 @@ the pool's correctness Gram matrix, SQ by gathering from per-focal tables.
 Each score must equal the per-team computation exactly (classical_scores on
 the team's own slice of the correctness rows; sq_epsilon/sq_alpha on each
 focal's negative set) and the oracles in tests/_reference.py at 1e-12.
-team_accuracy_table walks the teams along shared member prefixes and must
-reproduce the reference votes exactly.
+team_accuracy_table decides most (team, sample) cells from two per-team sums
+and votes the rest exactly; every accuracy must equal consensus on the team
+and the reference votes exactly, near-ties and vote-count ties included.
 """
 
 import numpy as np
@@ -20,6 +21,8 @@ from sqdiv.pool import correctness
 from sqdiv.qmetrics import FOCAL_ERRS, UndefinedDiversityError, classical_scores, negative_samples
 from sqdiv.scoring import ScoreConfig, score_team, score_teams
 from sqdiv.sq import sq_alpha, sq_epsilon
+from sqdiv import teams as teams_module
+from sqdiv.synth import default_spec, generate
 from sqdiv.teams import MAJORITY, SOFT, consensus, enumerate_teams, team_accuracy_table
 
 CLASSICAL = {
@@ -169,3 +172,105 @@ def test_accuracy_table_equals_reference_votes(seed, m, clones):
             want = float(np.mean(np.asarray(predicted) == pool.truth))
             assert table[team.team_key] == pytest.approx(want, abs=0)
             assert consensus(pool, team, method).predicted.tolist() == predicted
+
+
+def _assert_table_matches_votes(pool, teams, small_batch_bytes, oracle_every=1):
+    """The table equals consensus on every team, and, on every
+    oracle_every-th team, the reference votes, at abs=0. It is the same
+    table when a batch budget of small_batch_bytes splits the teams and
+    the exactly voted cells at many more boundaries."""
+    for method, oracle in ((SOFT, ref.soft_vote_labels), (MAJORITY, ref.majority_vote_labels)):
+        table = team_accuracy_table(pool, teams, method)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(teams_module, "_BATCH_BYTES", small_batch_bytes)
+            assert team_accuracy_table(pool, teams, method) == table
+        for i, team in enumerate(teams):
+            fused = consensus(pool, team, method)
+            assert table[team.team_key] == fused.accuracy, (method, team.team_key)
+            if i % oracle_every == 0:
+                predicted = oracle(pool.probs, list(team.member_ids))
+                want = float(np.mean(np.asarray(predicted) == pool.truth))
+                assert table[team.team_key] == pytest.approx(want, abs=0)
+                assert fused.predicted.tolist() == predicted, (method, team.team_key)
+
+
+# Ways to rewrite one sample's rows so that every model puts most of its mass
+# on the same two classes a < b: each model's two values differ by a few
+# ulps (which the team sums round away or keep), are exactly equal, or one
+# of them peaks (which ties vote counts in teams split evenly between them).
+ULPS, EXACT_TIE, SPLIT_VOTE = "ulps", "exact-tie", "split-vote"
+
+
+@st.composite
+def _near_tie_pools(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n, c = draw(st.integers(3, 7)), draw(st.integers(1, 12)), draw(st.integers(2, 4))
+    raw = rng.random((m, n, c)) + 1e-3
+    probs = raw / raw.sum(axis=2, keepdims=True)
+    truth = rng.integers(0, c, size=n)
+    kinds = draw(st.lists(st.sampled_from((None, ULPS, EXACT_TIE, SPLIT_VOTE)),
+                          min_size=n, max_size=n))
+    for j, kind in enumerate(kinds):
+        if kind is None:
+            continue
+        a, b = sorted((int(truth[j]), int((truth[j] + rng.integers(1, c)) % c)))
+        for i in range(m):
+            rest = np.zeros(c)
+            if kind == ULPS:
+                top = 0.5 if c == 2 else float(rng.choice([0.35, 0.45, 0.49]))
+                pair = [top, top]
+                pair[int(rng.integers(2))] = top + int(rng.integers(1, 4)) * np.spacing(top)
+            elif kind == EXACT_TIE:
+                top = 0.5 if c == 2 else float(rng.choice([0.4, 1 / 3 if c == 3 else 0.45]))
+                pair = [top, top]
+            else:
+                top = float(rng.uniform(0.5, 0.9))
+                pair = [top, 1.0 - top] if c == 2 else [top, (1.0 - top) / 2]
+                pair = pair[::int(rng.choice([1, -1]))]
+            rest[a], rest[b] = pair
+            others = [k for k in range(c) if k not in (a, b)]
+            if others:
+                rest[others] = (1.0 - sum(pair)) / len(others)
+            probs[i, j] = rest
+    if draw(st.booleans()):
+        probs[-1] = probs[0]  # clone members
+    if draw(st.booleans()):
+        probs[1] = np.where(np.arange(c) == truth[:, None], 0.9, 0.1 / (c - 1))  # always right
+    return pool_from_probs(probs, truth)
+
+
+_X, _ULP = 0.35, float(np.spacing(0.35))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool=_near_tie_pools())
+# Class 1, the truth, leads class 0 by one ulp in team 012's exact sums, but
+# its float sums of both classes are equal, so the exact vote picks class 0.
+@example(pool=pool_from_probs(
+    [[(_X, _X + _ULP, 0.3 - _ULP)], [(_X, _X + _ULP, 0.3 - _ULP)], [(_X + _ULP, _X, 0.3 - _ULP)]],
+    [1],
+))
+def test_accuracy_table_on_planted_near_ties(pool):
+    _assert_table_matches_votes(pool, list(enumerate_teams(pool.n_models)), 256)
+
+
+def test_accuracy_table_on_synth_pool_screens_and_votes_exactly():
+    """On a realistic pool most cells are screened and some are voted
+    exactly, across many batches of every size."""
+    pool = generate(default_spec(n_models=10, n_samples=1000, n_classes=15, seed=3))
+    teams = list(enumerate_teams(10))
+    exact = []
+    exact_votes = teams_module._exact_votes
+
+    def counted(pool, method, members, samples):
+        exact.append(len(samples))
+        return exact_votes(pool, method, members, samples)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(teams_module, "_exact_votes", counted)
+        for method in (SOFT, MAJORITY):
+            exact.clear()
+            team_accuracy_table(pool, teams, method)
+            assert 0 < sum(exact) < 0.2 * len(teams) * pool.n_samples, method
+    _assert_table_matches_votes(pool, teams, 1 << 14, oracle_every=67)
+
