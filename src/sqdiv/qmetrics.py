@@ -9,11 +9,23 @@ team member errs). Pairwise metrics reduce each unordered member pair to a
     n01  second-only       n00  both wrong
 
 and aggregate by unweighted mean over pairs; GD and KW read the per-sample
-count of correct members. classical_batch derives all of these counts from
-a Gram matrix of the correctness rows, for a batch of teams at once.
-Degenerate denominators resolve to the metric's "no diversity information"
-value instead of raising, so a sweep over thousands of candidate teams never
-aborts mid-run; only an empty subset is an error.
+count of correct members:
+
+    CK  1 - kappa, kappa = 2(n11 n00 - n01 n10) /
+        ((n11+n10)(n10+n00) + (n11+n01)(n01+n00)); 0 for redundant members
+    QS  Yule's Q = (n11 n00 - n01 n10) / (n11 n00 + n01 n10), a similarity
+    BD  (n10 + n01) / n
+    GD  1 - p(2)/p(1) (Partridge-Krzanowski), with p(1) the probability one
+        random member fails a random sample and p(2) that two distinct ones
+        both do; 0 with a "no-failures" note when nothing fails
+    KW  sum over samples of c(k - c) / (n k^2), c correct of k members
+
+classical_batch derives all of these counts from a Gram matrix of the
+correctness rows, for a batch of teams at once; classical_scores scores one
+team's rows on an explicit subset. Degenerate denominators resolve to the
+metric's "no diversity information" value instead of raising, so a sweep
+over thousands of candidate teams never aborts mid-run; only a team of
+fewer than 2 members or an empty subset is an error.
 
 Everything here is a pure function of immutable inputs and safe to call
 concurrently across teams.
@@ -35,18 +47,6 @@ class UndefinedDiversityError(ValueError):
     def __init__(self, metric, message=None):
         self.metric = metric
         super().__init__(message or f"undefined diversity: {metric} needs a non-empty subset")
-
-
-@dataclass(frozen=True)
-class PairContingency:
-    n11: int
-    n10: int
-    n01: int
-    n00: int
-
-    @property
-    def size(self):
-        return self.n11 + self.n10 + self.n01 + self.n00
 
 
 @dataclass(frozen=True)
@@ -82,16 +82,6 @@ def _member_ids(team):
     return tuple(int(i) for i in ids)
 
 
-def _subset_indices(subset, n_samples):
-    if isinstance(subset, NegativeSampleSet):
-        idx = np.asarray(subset.sample_indices, dtype=np.int64)
-    else:
-        idx = np.asarray(list(subset), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= n_samples):
-        raise ValueError("subset index out of range")
-    return idx
-
-
 def negative_samples(cm, team, mode=ANY_MEMBER_ERRS, seed=0, cap=None, focal_id=None):
     """Collect the qualifying sample subset for a team.
 
@@ -124,17 +114,6 @@ def negative_samples(cm, team, mode=ANY_MEMBER_ERRS, seed=0, cap=None, focal_id=
         seed=int(seed),
         cap=cap,
     )
-
-
-def pair_contingency(cm, model_a, model_b, subset):
-    """Exact 2x2 correctness counts for one model pair over the subset."""
-    idx = _subset_indices(subset, cm.n_samples)
-    a = cm.bits[int(model_a)][idx]
-    b = cm.bits[int(model_b)][idx]
-    n11 = int(np.count_nonzero(a & b))
-    n10 = int(np.count_nonzero(a & ~b))
-    n01 = int(np.count_nonzero(~a & b))
-    return PairContingency(n11=n11, n10=n10, n01=n01, n00=int(idx.size) - n11 - n10 - n01)
 
 
 def gram(bits):
@@ -235,58 +214,16 @@ def classical_batch(g, members, n, removed, metrics):
 def classical_scores(sub, metrics):
     """Score one team's correctness rows with each requested classical metric.
 
-    sub is the team's rows of the correctness matrix restricted to a
-    non-empty evaluation subset (members x samples): classical_batch on its
-    Gram matrix, as a batch of one team. Returns {metric: DiversityScore}.
+    sub is the team's rows of the correctness matrix restricted to an
+    evaluation subset (members x samples): classical_batch on its Gram
+    matrix, as a batch of one team. Returns {metric: DiversityScore}.
+    Raises ValueError for fewer than 2 members and UndefinedDiversityError
+    for an empty subset.
     """
     k, n = sub.shape
+    if k < 2:
+        raise ValueError("classical metrics need a team of at least 2 members")
+    if n == 0:
+        raise UndefinedDiversityError(metrics[0])
     batch = classical_batch(gram(sub), np.arange(k)[None, :], [n], [0], metrics)
     return {metric: scores[0] for metric, scores in batch.items()}
-
-
-def _classical(cm, team, subset, metric):
-    members = _member_ids(team)
-    if len(members) < 2:
-        raise ValueError(f"{metric} needs a team of at least 2 members")
-    idx = _subset_indices(subset, cm.n_samples)
-    if idx.size == 0:
-        raise UndefinedDiversityError(metric)
-    return classical_scores(cm.bits[list(members)][:, idx], (metric,))[metric]
-
-
-def cohen_kappa_diversity(cm, team, subset):
-    """Mean pairwise 1 - kappa over the subset.
-
-    kappa = 2(n11*n00 - n01*n10) / ((n11+n10)(n10+n00) + (n11+n01)(n01+n00)),
-    so the team score lies in [0, 2], 0 meaning perfectly redundant members.
-    """
-    return _classical(cm, team, subset, "CK")
-
-
-def q_statistic(cm, team, subset):
-    """Mean pairwise Yule Q; 1 for identical members, 0 for independence.
-
-    Returned raw (a similarity), so the selection layer treats lower values
-    as more diverse.
-    """
-    return _classical(cm, team, subset, "QS")
-
-
-def binary_disagreement(cm, team, subset):
-    """Mean pairwise fraction of subset samples where exactly one is correct."""
-    return _classical(cm, team, subset, "BD")
-
-
-def generalized_diversity(cm, team, subset):
-    """Partridge-Krzanowski generalized diversity in [0, 1].
-
-    With p(1) the probability one random member fails a random subset sample
-    and p(2) the probability two distinct random members both fail it,
-    GD = 1 - p(2)/p(1). No failures at all gives 0 with a "no-failures" note.
-    """
-    return _classical(cm, team, subset, "GD")
-
-
-def kohavi_wolpert(cm, team, subset):
-    """Kohavi-Wolpert variance: sum of l(M'-l) over samples / (n * M'^2)."""
-    return _classical(cm, team, subset, "KW")

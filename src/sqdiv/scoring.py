@@ -10,6 +10,12 @@ For the synergy metric the focal negative sets and per-focal pair
 statistics depend only on the focal model (never on the rest of the team),
 so they are built once per call, over the models that appear in the
 requested teams, and every team's breakdown is gathered from those tables.
+The tables come from integer counts on each focal's negative set: correct
+counts for SQ-epsilon, and for SQ-alpha each pair's agreement count and
+each model's per-class label counts. A kappa's chance agreement is one
+1-d dot of two count rows per pair, the dot multiclass_kappa takes: a
+batched matrix product sums in another order for larger pools and would
+move kappas, and so artifacts, by an ulp.
 
 Direction is metadata here: Yule's Q is a similarity (lower means more
 diverse); every other score is higher-is-diverse. Callers never need to
@@ -28,15 +34,13 @@ from .qmetrics import (
     FOCAL_ERRS,
     DiversityScore,
     UndefinedDiversityError,
-    _member_ids,
     _row_mean,
-    _subset_indices,
     classical_batch,
     classical_scores,
     gram,
     negative_samples,
 )
-from .sq import FocalResult, SQBreakdown, sq_alpha, sq_epsilon
+from .sq import FocalResult, SQBreakdown, cohen_kappa
 from .teams import EnsembleTeam, _size_batches, make_team
 
 METRICS = ("CK", "QS", "BD", "GD", "KW", "SQ")
@@ -139,7 +143,7 @@ def _sampled_classical(cm, teams, metrics, cfg):
         neg = negative_samples(
             cm, team, mode=ANY_MEMBER_ERRS, seed=cfg.seed, cap=cfg.negative_cap
         )
-        idx = _subset_indices(neg, cm.n_samples)
+        idx = np.array(neg.sample_indices, dtype=np.int64)
         if idx.size == 0:
             raise _undefined(metrics, team)
         sub = cm.bits[list(team.member_ids)][:, idx]
@@ -164,14 +168,24 @@ def score_team(pool, cm, team, metric, cfg=ScoreConfig()):
 class _FocalTables:
     """Per-focal tables for scoring the synergy metric over many teams.
 
-    For every model f that appears in the teams, taken as focal: its
-    negative sample count, sq_epsilon of each other model a with f, and
-    sq_alpha of every other pair (a, b) with f, all on f's negative set.
+    For every model f that appears in the teams, taken as focal, on f's
+    negative set of n samples: counts[f] = n; acc[f, a], the share of the
+    set that each other model a gets right (sq_epsilon of the pair); and
+    kappa[f, a, b], the kappa of every other pair (a, b) on the set (sq_alpha
+    of the triple). Each kappa comes from the pair's agreement count and the
+    per-class label counts of both models on the set. Its chance agreement
+    p_e = marg[a] @ marg[b] is taken one pair at a time, the dot
+    multiclass_kappa takes: a batched marg @ marg.T sums in another order
+    from about 12 other models up and moves kappas by an ulp.
     """
 
     def __init__(self, pool, cm, teams, cfg):
         m = pool.n_models
-        models = tuple(sorted({i for team in teams for i in _member_ids(team)}))
+        models = tuple(sorted({i for team in teams for i in team.member_ids}))
+        if cfg.alpha_on_labels:
+            data, n_classes = pool.predicted_labels(), pool.n_classes
+        else:
+            data, n_classes = cm.bits.astype(np.int64), 2
         self.counts = np.zeros(m, dtype=np.int64)
         self.acc = np.zeros((m, m))
         self.kappa = np.zeros((m, m, m))
@@ -180,16 +194,19 @@ class _FocalTables:
                 cm, models, mode=FOCAL_ERRS, seed=cfg.seed,
                 cap=cfg.negative_cap, focal_id=f,
             )
-            self.counts[f] = len(neg)
-            if not len(neg):
+            idx = np.array(neg.sample_indices, dtype=np.int64)
+            n = self.counts[f] = idx.size
+            if not n:
                 continue
             others = [a for a in models if a != f]
-            for a in others:
-                self.acc[f, a] = sq_epsilon(cm, (f, a), f, neg)
-            for a, b in combinations(others, 2):
-                k = sq_alpha(pool, (f, a, b), f, neg, on_labels=cfg.alpha_on_labels)
-                self.kappa[f, a, b] = k
-                self.kappa[f, b, a] = k
+            self.acc[f, others] = cm.bits[others][:, idx].sum(axis=1) / n
+            rows = data[others][:, idx]
+            p_o = np.count_nonzero(rows[:, None] == rows[None], axis=2) / n
+            marg = np.array([np.bincount(row, minlength=n_classes) for row in rows]) / n
+            for i, j in combinations(range(len(others)), 2):
+                k = cohen_kappa(p_o[i, j], float(marg[i] @ marg[j]))
+                self.kappa[f, others[i], others[j]] = k
+                self.kappa[f, others[j], others[i]] = k
 
     def breakdowns(self, teams, cfg):
         """SQBreakdown of every team, in input order.

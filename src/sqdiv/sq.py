@@ -1,22 +1,25 @@
 """Synergistic diversity: focal-model disagreement plus non-focal agreement.
 
 Each team member takes a turn as the focal model. Its failure samples form
-the focal negative set, on which two components are measured:
+the focal negative set, on which two count statistics are taken:
 
 * sq_epsilon -- mean binary disagreement between each non-focal member and
   the focal model. Because the focal is wrong on every negative sample,
-  this equals the mean non-focal accuracy there: the team's capacity to
-  cover the focal's mistakes.
+  this is the mean non-focal accuracy there, the share of the negative set
+  a non-focal member gets right: the team's capacity to cover the focal's
+  mistakes.
 * sq_alpha -- mean pairwise multi-class Cohen's kappa over the non-focal
   members' predicted labels on those samples: whether the potential
-  correctors actually agree with each other.
+  correctors actually agree with each other. Each kappa follows from the
+  pair's agreement count and the two members' per-class label counts.
 
 The per-focal score is w_epsilon * sq_epsilon + w_alpha * sq_alpha, and the
 team score is the mean over every member that has at least one failure;
 members with no failures are skipped. Both weights default to 1.
 
-This module holds the per-focal formulas; scoring.score_teams builds the
-focal negative sets, tabulates these terms and aggregates them per team.
+This module holds the kappa formula and the breakdown records;
+scoring.score_teams builds the focal negative sets, tabulates both terms
+from counts and aggregates them per team.
 """
 
 from __future__ import annotations
@@ -24,22 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .qmetrics import (
-    FOCAL_ERRS,
-    NegativeSampleSet,
-    _member_ids,
-    _subset_indices,
-    pair_contingency,
-)
-
-
-class EmptyFocalNegativesError(ValueError):
-    """The focal model has no negative samples; callers skip this focal."""
-
-    def __init__(self, focal_id):
-        self.focal_id = focal_id
-        super().__init__(f"focal {focal_id} has no negative samples")
 
 
 @dataclass(frozen=True)
@@ -66,37 +53,19 @@ class SQBreakdown:
     all_skipped: bool
 
 
-def _check_focal_set(neg, focal_id):
-    if isinstance(neg, NegativeSampleSet):
-        if neg.mode != FOCAL_ERRS or neg.focal_id != focal_id:
-            raise ValueError("negative set was not built in focal-errs mode for this focal")
-
-
-def sq_epsilon(cm, team, focal_id, neg):
-    """Mean binary disagreement of non-focal members with the focal on neg."""
-    members = _member_ids(team)
-    if len(members) < 2:
-        raise ValueError("sq_epsilon needs a team of at least 2 members")
-    if focal_id not in members:
-        raise ValueError("focal model must be a team member")
-    _check_focal_set(neg, focal_id)
-    idx = _subset_indices(neg, cm.n_samples)
-    if idx.size == 0:
-        raise EmptyFocalNegativesError(focal_id)
-    values = []
-    for m in members:
-        if m == focal_id:
-            continue
-        c = pair_contingency(cm, m, focal_id, idx)
-        values.append((c.n10 + c.n01) / c.size)
-    return float(np.mean(np.asarray(values)))
+def cohen_kappa(p_o, p_e):
+    """Cohen's kappa from the observed agreement p_o and the chance
+    agreement p_e; the p_e >= 1 degeneracy (both raters constant) resolves
+    to 1 when the labels match, else 0."""
+    if p_e >= 1.0:
+        return 1.0 if p_o >= 1.0 else 0.0
+    return (p_o - p_e) / (1.0 - p_e)
 
 
 def multiclass_kappa(labels_a, labels_b, n_classes):
     """Cohen's kappa between two label sequences.
 
-    p_e is the product of per-class label marginals; the p_e == 1 degeneracy
-    (both raters constant) resolves to 1 when the labels match, else 0.
+    p_e is the product of per-class label marginals.
     """
     a = np.asarray(labels_a, dtype=np.int64)
     b = np.asarray(labels_b, dtype=np.int64)
@@ -105,38 +74,4 @@ def multiclass_kappa(labels_a, labels_b, n_classes):
     p_o = float(np.count_nonzero(a == b)) / a.size
     marg_a = np.bincount(a, minlength=n_classes) / a.size
     marg_b = np.bincount(b, minlength=n_classes) / b.size
-    p_e = float(marg_a @ marg_b)
-    if p_e >= 1.0:
-        return 1.0 if p_o >= 1.0 else 0.0
-    return (p_o - p_e) / (1.0 - p_e)
-
-
-def sq_alpha(pool, team, focal_id, neg, on_labels=True):
-    """Mean pairwise kappa among non-focal members on the focal negatives.
-
-    A team of size 2 has a single non-focal member and scores 0 by
-    definition, so self-agreement never inflates pairs.
-    """
-    members = _member_ids(team)
-    if len(members) < 2:
-        raise ValueError("sq_alpha needs a team of at least 2 members")
-    if focal_id not in members:
-        raise ValueError("focal model must be a team member")
-    _check_focal_set(neg, focal_id)
-    idx = _subset_indices(neg, pool.n_samples)
-    if idx.size == 0:
-        raise EmptyFocalNegativesError(focal_id)
-    others = [m for m in members if m != focal_id]
-    if len(others) < 2:
-        return 0.0
-    if on_labels:
-        data = pool.predicted_labels()[:, idx]
-        n_classes = pool.n_classes
-    else:
-        data = (pool.predicted_labels()[:, idx] == pool.truth[idx][None, :]).astype(np.int64)
-        n_classes = 2
-    kappas = []
-    for ai in range(len(others)):
-        for bi in range(ai + 1, len(others)):
-            kappas.append(multiclass_kappa(data[others[ai]], data[others[bi]], n_classes))
-    return float(np.mean(np.asarray(kappas)))
+    return cohen_kappa(p_o, float(marg_a @ marg_b))

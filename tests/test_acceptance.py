@@ -20,18 +20,9 @@ import _reference as ref
 from _pools import pool_from_labels, pool_from_probs, random_pool
 from sqdiv.analytics import pearson
 from sqdiv.pool import correctness, load_pool, model_accuracy, write_pool
-from sqdiv.qmetrics import (
-    FOCAL_ERRS,
-    binary_disagreement,
-    cohen_kappa_diversity,
-    generalized_diversity,
-    kohavi_wolpert,
-    negative_samples,
-    q_statistic,
-)
+from sqdiv.qmetrics import FOCAL_ERRS, classical_scores, negative_samples
 from sqdiv.scoring import ScoreConfig, score_team, score_teams
 from sqdiv.selection import rank_teams
-from sqdiv.sq import sq_epsilon
 from sqdiv.synth import default_spec, generate
 from sqdiv.teams import (
     count_teams,
@@ -113,17 +104,17 @@ def test_metric_oracle_equivalence():
 
             subset = [j for j in range(n) if any(not bits[i][j] for i in members)]
             if subset:
-                checks = [
-                    (cohen_kappa_diversity, ref.ck_diversity),
-                    (q_statistic, ref.q_statistic),
-                    (binary_disagreement, ref.binary_disagreement),
-                    (generalized_diversity, ref.generalized_diversity),
-                    (kohavi_wolpert, ref.kohavi_wolpert),
-                ]
-                for func, oracle in checks:
-                    got = func(cm, team, subset).value
+                oracles = {
+                    "CK": ref.ck_diversity,
+                    "QS": ref.q_statistic,
+                    "BD": ref.binary_disagreement,
+                    "GD": ref.generalized_diversity,
+                    "KW": ref.kohavi_wolpert,
+                }
+                got = classical_scores(bits[list(members)][:, subset], list(oracles))
+                for metric, oracle in oracles.items():
                     want = oracle(bits, members, subset)
-                    assert got == pytest.approx(want, abs=TOL), func.__name__
+                    assert got[metric].value == pytest.approx(want, abs=TOL), metric
 
             breakdown = score_team(pool, cm, team, "SQ").detail
             evaluated, skipped, aggregate = ref.sq_breakdown(
@@ -147,27 +138,25 @@ def test_degenerate_team_suite():
         row = [0, 0, 0, 1, 1, 0]  # predicted labels; truth mixes hits and misses
         pool = pool_from_labels([row, row, row], truth=(0, 1, 0, 1, 0, 0), n_classes=2)
         cm = correctness(pool)
-        team = make_team([0, 1, 2], 3)
-        full = range(pool.n_samples)
-        assert binary_disagreement(cm, team, full).value == 0.0
-        assert generalized_diversity(cm, team, full).value == 0.0
-        assert kohavi_wolpert(cm, team, full).value == 0.0
-        assert q_statistic(cm, team, full).value == 1.0
-        assert cohen_kappa_diversity(cm, team, full).value == 0.0
+        clones = classical_scores(cm.bits, ["BD", "GD", "KW", "QS", "CK"])
+        assert clones["BD"].value == 0.0
+        assert clones["GD"].value == 0.0
+        assert clones["KW"].value == 0.0
+        assert clones["QS"].value == 1.0
+        assert clones["CK"].value == 0.0
 
         # complementary pair: exactly one member correct on every sample
         comp = pool_from_labels(
             [(0, 1, 1, 0), (1, 0, 0, 1)], truth=(0, 0, 1, 1), n_classes=2
         )
-        comp_cm = correctness(comp)
-        pair = make_team([0, 1], 2)
-        assert binary_disagreement(comp_cm, pair, range(4)).value == 1.0
+        assert classical_scores(correctness(comp).bits, ["BD"])["BD"].value == 1.0
 
         # all-correct team: empty negative sets, synergy aggregate 0 + flag
         perfect = pool_from_labels(
             [(0, 1, 0), (0, 1, 0)], truth=(0, 1, 0), n_classes=2
         )
         perfect_cm = correctness(perfect)
+        pair = make_team([0, 1], 2)
         assert len(negative_samples(perfect_cm, pair)) == 0
         assert len(negative_samples(perfect_cm, pair, mode=FOCAL_ERRS, focal_id=0)) == 0
         breakdown = score_team(perfect, perfect_cm, pair, "SQ").detail
@@ -196,7 +185,8 @@ def test_sq_epsilon_identity_100_triples():
             idx = list(neg.sample_indices)
             others = [i for i in members if i != focal]
             mean_acc = float(np.mean([cm.bits[i][idx].mean() for i in others]))
-            via_bd = sq_epsilon(cm, team, focal, neg)
+            breakdown = score_team(pool, cm, team, "SQ").detail
+            via_bd = {f.focal_id: f.sq_epsilon for f in breakdown.per_focal}[focal]
             assert via_bd == pytest.approx(mean_acc, abs=TOL)
             done += 1
 

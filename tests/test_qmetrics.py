@@ -10,22 +10,25 @@ from sqdiv.qmetrics import (
     ANY_MEMBER_ERRS,
     FOCAL_ERRS,
     UndefinedDiversityError,
-    binary_disagreement,
-    cohen_kappa_diversity,
-    generalized_diversity,
-    kohavi_wolpert,
+    classical_scores,
+    gram,
     negative_samples,
-    pair_contingency,
-    q_statistic,
 )
 
-METRIC_FUNCS = {
-    "CK": cohen_kappa_diversity,
-    "QS": q_statistic,
-    "BD": binary_disagreement,
-    "GD": generalized_diversity,
-    "KW": kohavi_wolpert,
+# Each classical metric with the name its parametrized tests are reported by.
+METRIC_NAMES = {
+    "CK": "cohen_kappa_diversity",
+    "QS": "q_statistic",
+    "BD": "binary_disagreement",
+    "GD": "generalized_diversity",
+    "KW": "kohavi_wolpert",
 }
+
+
+def scores(rows, members, subset):
+    """classical_scores of every metric on the members' rows over the subset."""
+    sub = np.asarray(rows, dtype=bool)[list(members)][:, list(subset)]
+    return {metric: s.value for metric, s in classical_scores(sub, list(METRIC_NAMES)).items()}
 
 bits_matrices = arrays(
     dtype=bool,
@@ -83,86 +86,88 @@ def test_negative_samples_validation():
 
 # --- contingency -------------------------------------------------------------
 
+def pair_counts(rows, a, b):
+    """(n11, n10, n01, n00) of a pair over all samples, read from the Gram
+    matrix as classical_batch reads them."""
+    bits = np.asarray(rows, dtype=bool)
+    g = gram(bits)
+    n11 = g[a, b]
+    return n11, g[a, a] - n11, g[b, b] - n11, bits.shape[1] - g[a, a] - g[b, b] + n11
+
+
 def test_pair_contingency_hand_example():
-    cm = make_cm([(1, 1, 0, 0, 1), (1, 0, 1, 0, 1)])
-    c = pair_contingency(cm, 0, 1, range(5))
-    assert (c.n11, c.n10, c.n01, c.n00) == (2, 1, 1, 1)
-    assert c.size == 5
+    assert pair_counts([(1, 1, 0, 0, 1), (1, 0, 1, 0, 1)], 0, 1) == (2, 1, 1, 1)
 
 
 def test_pair_contingency_identical_and_complementary():
-    cm = make_cm([(1, 0, 1), (1, 0, 1), (0, 1, 0)])
-    same = pair_contingency(cm, 0, 1, range(3))
-    assert same.n10 == same.n01 == 0
-    flip = pair_contingency(cm, 0, 2, range(3))
-    assert flip.n11 == flip.n00 == 0
+    rows = [(1, 0, 1), (1, 0, 1), (0, 1, 0)]
+    _, n10, n01, _ = pair_counts(rows, 0, 1)
+    assert n10 == n01 == 0
+    n11, _, _, n00 = pair_counts(rows, 0, 2)
+    assert n11 == n00 == 0
 
 
 # --- frozen metric values ----------------------------------------------------
 
-def contingency_fixture():
-    # pair with (n11, n10, n01, n00) = (2, 1, 1, 1) over 5 samples
-    return make_cm([(1, 1, 0, 0, 1), (1, 0, 1, 0, 1)])
+# pair with (n11, n10, n01, n00) = (2, 1, 1, 1) over 5 samples
+CONTINGENCY_FIXTURE = [(1, 1, 0, 0, 1), (1, 0, 1, 0, 1)]
 
 
 def test_ck_value():
-    score = cohen_kappa_diversity(contingency_fixture(), (0, 1), range(5))
+    sub = np.asarray(CONTINGENCY_FIXTURE, dtype=bool)
+    score = classical_scores(sub, ["CK"])["CK"]
     assert score.metric == "CK"
     assert score.value == pytest.approx(5.0 / 6.0, abs=1e-12)
 
 
 def test_ck_identical_members_zero():
-    cm = make_cm([(1, 0, 1, 1), (1, 0, 1, 1)])
-    assert cohen_kappa_diversity(cm, (0, 1), range(4)).value == 0.0
+    assert scores([(1, 0, 1, 1), (1, 0, 1, 1)], (0, 1), range(4))["CK"] == 0.0
 
 
 def test_ck_team_is_pair_mean():
-    cm = make_cm([(1, 1, 0, 0, 1), (1, 0, 1, 0, 1), (0, 1, 1, 0, 1)])
+    rows = [(1, 1, 0, 0, 1), (1, 0, 1, 0, 1), (0, 1, 1, 0, 1)]
     subset = range(5)
-    d01 = cohen_kappa_diversity(cm, (0, 1), subset).value
-    d02 = cohen_kappa_diversity(cm, (0, 2), subset).value
-    d12 = cohen_kappa_diversity(cm, (1, 2), subset).value
-    team = cohen_kappa_diversity(cm, (0, 1, 2), subset).value
+    d01 = scores(rows, (0, 1), subset)["CK"]
+    d02 = scores(rows, (0, 2), subset)["CK"]
+    d12 = scores(rows, (1, 2), subset)["CK"]
+    team = scores(rows, (0, 1, 2), subset)["CK"]
     assert team == pytest.approx((d01 + d02 + d12) / 3, abs=1e-12)
 
 
 def test_qs_values():
-    assert q_statistic(contingency_fixture(), (0, 1), range(5)).value == pytest.approx(1 / 3, abs=1e-12)
-    independent = make_cm([(1, 1, 0, 0), (1, 0, 1, 0)])
-    assert q_statistic(independent, (0, 1), range(4)).value == 0.0
-    identical = make_cm([(1, 0, 1, 1), (1, 0, 1, 1)])
-    assert q_statistic(identical, (0, 1), range(4)).value == 1.0
+    assert scores(CONTINGENCY_FIXTURE, (0, 1), range(5))["QS"] == pytest.approx(1 / 3, abs=1e-12)
+    independent = [(1, 1, 0, 0), (1, 0, 1, 0)]
+    assert scores(independent, (0, 1), range(4))["QS"] == 0.0
+    identical = [(1, 0, 1, 1), (1, 0, 1, 1)]
+    assert scores(identical, (0, 1), range(4))["QS"] == 1.0
 
 
 def test_bd_values():
-    assert binary_disagreement(contingency_fixture(), (0, 1), range(5)).value == pytest.approx(0.4, abs=1e-12)
-    identical = make_cm([(1, 0, 1), (1, 0, 1)])
-    assert binary_disagreement(identical, (0, 1), range(3)).value == 0.0
-    flip = make_cm([(1, 0, 1), (0, 1, 0)])
-    assert binary_disagreement(flip, (0, 1), range(3)).value == 1.0
+    assert scores(CONTINGENCY_FIXTURE, (0, 1), range(5))["BD"] == pytest.approx(0.4, abs=1e-12)
+    identical = [(1, 0, 1), (1, 0, 1)]
+    assert scores(identical, (0, 1), range(3))["BD"] == 0.0
+    flip = [(1, 0, 1), (0, 1, 0)]
+    assert scores(flip, (0, 1), range(3))["BD"] == 1.0
 
 
 def test_gd_values():
     # failure counts over 4 samples: 0, 1, 2, 3 of 3 members
-    cm = make_cm([
+    rows = [
         (1, 0, 0, 0),
         (1, 1, 0, 0),
         (1, 1, 1, 0),
-    ])
-    score = generalized_diversity(cm, (0, 1, 2), range(4))
-    assert score.value == pytest.approx(1 / 3, abs=1e-12)
+    ]
+    assert scores(rows, (0, 1, 2), range(4))["GD"] == pytest.approx(1 / 3, abs=1e-12)
 
-    lockstep = make_cm([(1, 0, 1, 0), (1, 0, 1, 0), (1, 0, 1, 0)])
-    joint = generalized_diversity(lockstep, (0, 1, 2), range(4))
-    assert joint.value == 0.0
+    lockstep = [(1, 0, 1, 0), (1, 0, 1, 0), (1, 0, 1, 0)]
+    assert scores(lockstep, (0, 1, 2), range(4))["GD"] == 0.0
 
-    solo = make_cm([(0, 1, 1), (1, 0, 1), (1, 1, 0)])
-    assert generalized_diversity(solo, (0, 1, 2), range(3)).value == 1.0
+    solo = [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    assert scores(solo, (0, 1, 2), range(3))["GD"] == 1.0
 
 
 def test_gd_no_failures_flag():
-    cm = make_cm([(1, 1), (1, 1)])
-    score = generalized_diversity(cm, (0, 1), range(2))
+    score = classical_scores(np.ones((2, 2), dtype=bool), ["GD"])["GD"]
     assert score.value == 0.0
     assert score.note == "no-failures"
 
@@ -172,43 +177,38 @@ def test_kw_value():
     rows = np.zeros((3, 8), dtype=bool)
     for j, k in enumerate(correct_counts):
         rows[:k, j] = True
-    score = kohavi_wolpert(make_cm(rows), (0, 1, 2), range(8))
-    assert score.value == pytest.approx(14 / 72, abs=1e-12)
+    assert scores(rows, (0, 1, 2), range(8))["KW"] == pytest.approx(14 / 72, abs=1e-12)
 
 
 def test_kw_unanimous_zero():
-    cm = make_cm([(1, 0, 1), (1, 0, 1), (1, 0, 1)])
-    assert kohavi_wolpert(cm, (0, 1, 2), range(3)).value == 0.0
+    assert scores([(1, 0, 1), (1, 0, 1), (1, 0, 1)], (0, 1, 2), range(3))["KW"] == 0.0
 
 
 @settings(max_examples=40, deadline=None)
 @given(bits=bits_matrices)
 def test_kw_is_scaled_bd(bits):
     # KW = BD * (M'-1) / (2 M') for the mean pairwise disagreement
-    cm = make_cm(bits)
     members = tuple(range(bits.shape[0]))
-    subset = range(bits.shape[1])
-    kw = kohavi_wolpert(cm, members, subset).value
-    bd = binary_disagreement(cm, members, subset).value
+    got = scores(bits, members, range(bits.shape[1]))
     m = len(members)
-    assert kw == pytest.approx(bd * (m - 1) / (2 * m), abs=1e-12)
+    assert got["KW"] == pytest.approx(got["BD"] * (m - 1) / (2 * m), abs=1e-12)
 
 
 # --- error handling ----------------------------------------------------------
 
-@pytest.mark.parametrize("name,func", METRIC_FUNCS.items())
-def test_empty_subset_raises(name, func):
-    cm = make_cm([(1, 0), (0, 1)])
+@pytest.mark.parametrize("name,label", METRIC_NAMES.items())
+def test_empty_subset_raises(name, label):
+    sub = np.ones((2, 0), dtype=bool)
     with pytest.raises(UndefinedDiversityError) as err:
-        func(cm, (0, 1), ())
-    assert err.value.metric == name
+        classical_scores(sub, [name])
+    assert err.value.metric == name, label
 
 
-@pytest.mark.parametrize("func", METRIC_FUNCS.values())
-def test_single_member_team_rejected(func):
-    cm = make_cm([(1, 0), (0, 1)])
+@pytest.mark.parametrize("name", METRIC_NAMES, ids=METRIC_NAMES.values())
+def test_single_member_team_rejected(name):
+    sub = np.array([(1, 0)], dtype=bool)
     with pytest.raises(ValueError, match="at least 2"):
-        func(cm, (0,), range(2))
+        classical_scores(sub, [name])
 
 
 # --- properties --------------------------------------------------------------
@@ -216,62 +216,52 @@ def test_single_member_team_rejected(func):
 @settings(max_examples=40, deadline=None)
 @given(bits=bits_matrices, seed=st.integers(0, 999))
 def test_oracle_equivalence_small(bits, seed):
-    cm = make_cm(bits)
     rng = np.random.default_rng(seed)
     m = bits.shape[0]
     size = int(rng.integers(2, m + 1))
     members = tuple(sorted(rng.choice(m, size=size, replace=False).tolist()))
     subset = list(range(bits.shape[1]))
-    assert cohen_kappa_diversity(cm, members, subset).value == pytest.approx(
-        ref.ck_diversity(bits, members, subset), abs=1e-12)
-    assert q_statistic(cm, members, subset).value == pytest.approx(
-        ref.q_statistic(bits, members, subset), abs=1e-12)
-    assert binary_disagreement(cm, members, subset).value == pytest.approx(
-        ref.binary_disagreement(bits, members, subset), abs=1e-12)
-    assert generalized_diversity(cm, members, subset).value == pytest.approx(
-        ref.generalized_diversity(bits, members, subset), abs=1e-12)
-    assert kohavi_wolpert(cm, members, subset).value == pytest.approx(
-        ref.kohavi_wolpert(bits, members, subset), abs=1e-12)
+    got = scores(bits, members, subset)
+    assert got["CK"] == pytest.approx(ref.ck_diversity(bits, members, subset), abs=1e-12)
+    assert got["QS"] == pytest.approx(ref.q_statistic(bits, members, subset), abs=1e-12)
+    assert got["BD"] == pytest.approx(ref.binary_disagreement(bits, members, subset), abs=1e-12)
+    assert got["GD"] == pytest.approx(ref.generalized_diversity(bits, members, subset), abs=1e-12)
+    assert got["KW"] == pytest.approx(ref.kohavi_wolpert(bits, members, subset), abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
 @given(bits=bits_matrices, seed=st.integers(0, 999))
 def test_permutation_and_duplication_invariance(bits, seed):
-    cm = make_cm(bits)
     members = tuple(range(bits.shape[0]))
     rng = np.random.default_rng(seed)
     shuffled = tuple(rng.permutation(members).tolist())
     subset = np.arange(bits.shape[1])
     subset_shuffled = rng.permutation(subset)
     doubled = np.concatenate([subset, subset])
-    for func in METRIC_FUNCS.values():
-        base = func(cm, members, subset).value
-        assert func(cm, shuffled, subset).value == pytest.approx(base, abs=1e-12)
-        assert func(cm, members, subset_shuffled).value == pytest.approx(base, abs=1e-12)
-        assert func(cm, members, doubled).value == pytest.approx(base, abs=1e-12)
+    base = scores(bits, members, subset)
+    for variant in (scores(bits, shuffled, subset), scores(bits, members, subset_shuffled),
+                    scores(bits, members, doubled)):
+        for metric in METRIC_NAMES:
+            assert variant[metric] == pytest.approx(base[metric], abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(bits=bits_matrices)
 def test_metric_bounds(bits):
-    cm = make_cm(bits)
-    members = tuple(range(bits.shape[0]))
-    subset = range(bits.shape[1])
-    assert 0.0 <= cohen_kappa_diversity(cm, members, subset).value <= 2.0
-    assert -1.0 <= q_statistic(cm, members, subset).value <= 1.0
-    assert 0.0 <= binary_disagreement(cm, members, subset).value <= 1.0
-    assert 0.0 <= generalized_diversity(cm, members, subset).value <= 1.0
-    assert 0.0 <= kohavi_wolpert(cm, members, subset).value <= 1.0
+    got = scores(bits, range(bits.shape[0]), range(bits.shape[1]))
+    assert 0.0 <= got["CK"] <= 2.0
+    assert -1.0 <= got["QS"] <= 1.0
+    assert 0.0 <= got["BD"] <= 1.0
+    assert 0.0 <= got["GD"] <= 1.0
+    assert 0.0 <= got["KW"] <= 1.0
 
 
 def test_identical_team_degeneracy():
     # clones of a model that is right on some samples and wrong on others
     row = (1, 1, 1, 0, 0, 1)
-    cm = make_cm([row, row, row])
-    members = (0, 1, 2)
-    subset = range(6)
-    assert binary_disagreement(cm, members, subset).value == 0.0
-    assert generalized_diversity(cm, members, subset).value == 0.0
-    assert kohavi_wolpert(cm, members, subset).value == 0.0
-    assert q_statistic(cm, members, subset).value == 1.0
-    assert cohen_kappa_diversity(cm, members, subset).value == 0.0
+    got = scores([row, row, row], (0, 1, 2), range(6))
+    assert got["BD"] == 0.0
+    assert got["GD"] == 0.0
+    assert got["KW"] == 0.0
+    assert got["QS"] == 1.0
+    assert got["CK"] == 0.0

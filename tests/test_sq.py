@@ -8,7 +8,7 @@ from _pools import pool_from_labels, pool_from_probs, random_pool
 from sqdiv.pool import correctness
 from sqdiv.qmetrics import FOCAL_ERRS, negative_samples
 from sqdiv.scoring import ScoreConfig, score_team
-from sqdiv.sq import EmptyFocalNegativesError, multiclass_kappa, sq_alpha, sq_epsilon
+from sqdiv.sq import multiclass_kappa
 from sqdiv.teams import make_team
 
 
@@ -24,49 +24,28 @@ def triad_pool():
     return pool_from_labels(labels, truth=(0, 1, 0, 2), n_classes=4)
 
 
-def focal_negatives(cm, team, focal):
-    return negative_samples(cm, team, mode=FOCAL_ERRS, focal_id=focal)
+def focal_terms(pool, team, focal):
+    """The focal's FocalResult in the team's SQ breakdown."""
+    detail = score_team(pool, correctness(pool), team, "SQ").detail
+    return {f.focal_id: f for f in detail.per_focal}[focal]
 
 
 def test_sq_epsilon_example(triad_pool):
-    cm = correctness(triad_pool)
-    team = make_team([0, 1, 2], 3)
-    neg = focal_negatives(cm, team, 0)
-    assert len(neg) == 4
-    assert sq_epsilon(cm, team, 0, neg) == pytest.approx(0.5, abs=1e-12)
+    focal = focal_terms(triad_pool, make_team([0, 1, 2], 3), 0)
+    assert focal.negative_count == 4
+    assert focal.sq_epsilon == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sq_epsilon_clones_zero():
     labels = [(1, 1, 1), (1, 1, 1), (1, 1, 1)]
     pool = pool_from_labels(labels, truth=(0, 0, 0), n_classes=3)
-    cm = correctness(pool)
-    team = make_team([0, 1, 2], 3)
-    neg = focal_negatives(cm, team, 0)
-    assert sq_epsilon(cm, team, 0, neg) == 0.0
+    assert focal_terms(pool, make_team([0, 1, 2], 3), 0).sq_epsilon == 0.0
 
 
 def test_sq_epsilon_perfect_correctors_one():
     labels = [(1, 1), (0, 2), (0, 2)]
     pool = pool_from_labels(labels, truth=(0, 2), n_classes=3)
-    cm = correctness(pool)
-    team = make_team([0, 1, 2], 3)
-    neg = focal_negatives(cm, team, 0)
-    assert sq_epsilon(cm, team, 0, neg) == 1.0
-
-
-def test_sq_epsilon_empty_negatives_signal(triad_pool):
-    cm = correctness(triad_pool)
-    team = make_team([0, 1, 2], 3)
-    with pytest.raises(EmptyFocalNegativesError, match="no negative samples"):
-        sq_epsilon(cm, team, 0, ())
-
-
-def test_sq_epsilon_rejects_foreign_negative_set(triad_pool):
-    cm = correctness(triad_pool)
-    team = make_team([0, 1, 2], 3)
-    neg_for_1 = focal_negatives(cm, team, 1)
-    with pytest.raises(ValueError, match="focal-errs"):
-        sq_epsilon(cm, team, 0, neg_for_1)
+    assert focal_terms(pool, make_team([0, 1, 2], 3), 0).sq_epsilon == 1.0
 
 
 def test_sq_alpha_example():
@@ -77,26 +56,18 @@ def test_sq_alpha_example():
         (0, 1, 2, 2),
     ]
     pool = pool_from_labels(labels, truth=(3, 3, 3, 3), n_classes=4)
-    cm = correctness(pool)
-    team = make_team([0, 1, 2], 3)
-    neg = focal_negatives(cm, team, 0)
-    assert sq_alpha(pool, team, 0, neg) == pytest.approx(7 / 11, abs=1e-12)
+    focal = focal_terms(pool, make_team([0, 1, 2], 3), 0)
+    assert focal.sq_alpha == pytest.approx(7 / 11, abs=1e-12)
 
 
 def test_sq_alpha_identical_labels_one(triad_pool):
     labels = [(2, 2, 2), (0, 1, 0), (0, 1, 0)]
     pool = pool_from_labels(labels, truth=(1, 0, 1), n_classes=3)
-    cm = correctness(pool)
-    team = make_team([0, 1, 2], 3)
-    neg = focal_negatives(cm, team, 0)
-    assert sq_alpha(pool, team, 0, neg) == 1.0
+    assert focal_terms(pool, make_team([0, 1, 2], 3), 0).sq_alpha == 1.0
 
 
 def test_sq_alpha_pair_team_zero(triad_pool):
-    cm = correctness(triad_pool)
-    team = make_team([0, 1], 3)
-    neg = focal_negatives(cm, team, 0)
-    assert sq_alpha(triad_pool, team, 0, neg) == 0.0
+    assert focal_terms(triad_pool, make_team([0, 1], 3), 0).sq_alpha == 0.0
 
 
 def test_multiclass_kappa_degenerate_marginals():
@@ -171,13 +142,13 @@ def test_sq_epsilon_identity(seed):
     cm = correctness(pool)
     team = make_team(range(m), m)
     focal = int(rng.integers(0, m))
-    neg = focal_negatives(cm, team, focal)
+    neg = negative_samples(cm, team, mode=FOCAL_ERRS, focal_id=focal)
     if len(neg) == 0:
         return
     idx = list(neg.sample_indices)
     others = [i for i in range(m) if i != focal]
     direct = float(np.mean([cm.bits[i][idx].mean() for i in others]))
-    assert sq_epsilon(cm, team, focal, neg) == pytest.approx(direct, abs=1e-12)
+    assert focal_terms(pool, team, focal).sq_epsilon == pytest.approx(direct, abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,14 +1,18 @@
 """The batched team sweep against the per-team paths and the naive oracles.
 
 score_teams scores teams in batches of one size: the classical metrics from
-the pool's correctness Gram matrix, SQ by gathering from per-focal tables.
-Each score must equal the per-team computation exactly (classical_scores on
-the team's own slice of the correctness rows; sq_epsilon/sq_alpha on each
-focal's negative set) and the oracles in tests/_reference.py at 1e-12.
-team_accuracy_table decides most (team, sample) cells from two per-team sums
-and votes the rest exactly; every accuracy must equal consensus on the team
-and the reference votes exactly, near-ties and vote-count ties included.
+the pool's correctness Gram matrix, SQ by gathering from per-focal count
+tables. Each score must equal the per-team computation exactly
+(classical_scores on the team's own slice of the correctness rows; for SQ,
+the mean share of each focal's negative set a non-focal member gets right
+and the mean multiclass_kappa of the non-focal pairs on that set) and the
+oracles in tests/_reference.py at 1e-12. team_accuracy_table decides most
+(team, sample) cells from two per-team sums and votes the rest exactly;
+every accuracy must equal consensus on the team and the reference votes
+exactly, near-ties and vote-count ties included.
 """
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from _pools import pool_from_labels, pool_from_probs, random_pool
 from sqdiv.pool import correctness
 from sqdiv.qmetrics import FOCAL_ERRS, UndefinedDiversityError, classical_scores, negative_samples
 from sqdiv.scoring import ScoreConfig, score_team, score_teams
-from sqdiv.sq import sq_alpha, sq_epsilon
+from sqdiv.sq import multiclass_kappa
 from sqdiv import teams as teams_module
 from sqdiv.synth import default_spec, generate
 from sqdiv.teams import MAJORITY, SOFT, consensus, enumerate_teams, team_accuracy_table
@@ -52,6 +56,26 @@ def _degenerate_pool(rng, m, n, c, structure):
         else:
             labels[row] = truth
     return pool_from_labels(labels, truth, c)
+
+
+def _focal_terms(pool, cm, members, focal, cfg):
+    """sq_epsilon and sq_alpha of one focal, computed on its own: the mean
+    share of the focal's negative set each non-focal member gets right, and
+    the mean multiclass_kappa of the non-focal pairs on that set."""
+    neg = negative_samples(cm, members, mode=FOCAL_ERRS, seed=cfg.seed,
+                           cap=cfg.negative_cap, focal_id=focal)
+    idx = list(neg.sample_indices)
+    others = [a for a in members if a != focal]
+    eps = np.mean([cm.bits[a, idx].sum() / len(idx) for a in others])
+    if len(others) < 2:
+        return eps, 0.0
+    if cfg.alpha_on_labels:
+        data, n_classes = pool.predicted_labels(), pool.n_classes
+    else:
+        data, n_classes = cm.bits.astype(np.int64), 2
+    kappas = [multiclass_kappa(data[a, idx], data[b, idx], n_classes)
+              for a, b in combinations(others, 2)]
+    return eps, np.mean(kappas)
 
 
 def _team_list(rng, m, count):
@@ -126,14 +150,31 @@ def test_sweep_equals_per_team_paths_and_oracles(seed, m, structure, cfg):
         assert got.note == ("all-focals-skipped" if not evaluated else None)
         assert [f.focal_id for f in got.detail.per_focal] == sorted(evaluated)
         for focal in got.detail.per_focal:
-            neg = negative_samples(cm, members, mode=FOCAL_ERRS, focal_id=focal.focal_id)
-            assert focal.sq_epsilon == sq_epsilon(cm, members, focal.focal_id, neg)
-            assert focal.sq_alpha == sq_alpha(
-                pool, members, focal.focal_id, neg, on_labels=cfg.alpha_on_labels
-            )
+            eps, alpha = _focal_terms(pool, cm, members, focal.focal_id, cfg)
+            assert focal.sq_epsilon == eps
+            assert focal.sq_alpha == alpha
             count, eps, alpha, combined = evaluated[focal.focal_id]
             assert focal.negative_count == count
             assert focal.combined == pytest.approx(combined, abs=1e-12)
+
+
+@pytest.mark.parametrize("cfg", [
+    ScoreConfig(), ScoreConfig(alpha_on_labels=False), ScoreConfig(negative_cap=50),
+], ids=["labels", "correctness", "cap50"])
+def test_sq_focal_tables_equal_per_focal_terms(cfg):
+    """Each focal's terms, gathered from the count tables, are bit-identical
+    to the terms computed on their own. At 13 models each focal has 12
+    non-focal members, where a batched marg @ marg.T would change the
+    chance agreement of some pairs by an ulp."""
+    pool = generate(default_spec(n_models=13, n_samples=300, seed=0))
+    cm = correctness(pool)
+    members = list(range(13))
+    detail = score_team(pool, cm, members, "SQ", cfg).detail
+    assert [f.focal_id for f in detail.per_focal] == members
+    for focal in detail.per_focal:
+        eps, alpha = _focal_terms(pool, cm, members, focal.focal_id, cfg)
+        assert focal.sq_epsilon == eps, focal.focal_id
+        assert focal.sq_alpha == alpha, focal.focal_id
 
 
 def test_sweep_batches_of_many_teams_equal_single_teams():
