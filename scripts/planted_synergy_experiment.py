@@ -35,7 +35,7 @@ def run_seed(seed, args):
     pool = generate(spec)
     cm = correctness(pool)
     result = sweep(pool, cm, METRICS)
-    accuracy = result.accuracy
+    accuracy = dict(zip(result.team_keys, result.accuracy.tolist()))
     correlations = result.correlations(pearson)
 
     row = {"seed": seed}

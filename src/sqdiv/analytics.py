@@ -58,31 +58,31 @@ def spearman(xs, ys):
     return pearson(_ranks(x), _ranks(y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Shared sweep over all candidate teams: scores per metric + accuracy."""
+    """Shared sweep over all candidate teams, in enumeration order: team keys
+    and sizes, one ScoreColumn per metric and the consensus accuracies, the
+    sizes and accuracies as arrays (so two results compare by identity)."""
 
     team_keys: tuple[str, ...]
-    team_sizes: tuple[int, ...]
+    team_sizes: np.ndarray
     scores: dict
-    accuracy: dict
+    accuracy: np.ndarray
 
     def rows(self, metric):
         """One (team_key, team_size, score, accuracy) row per candidate team."""
-        scores = self.scores[metric]
-        return [
-            (key, size, scores[key].value, self.accuracy[key])
-            for key, size in zip(self.team_keys, self.team_sizes)
-        ]
+        return list(zip(
+            self.team_keys, self.team_sizes.tolist(),
+            self.scores[metric].array.tolist(), self.accuracy.tolist(),
+        ))
 
     def correlations(self, estimator):
         """{metric: estimator(team scores, team accuracies)} for every scored
         metric; a constant score or accuracy column reports None."""
-        accs = [self.accuracy[k] for k in self.team_keys]
         report = {}
-        for metric, scores in self.scores.items():
+        for metric, column in self.scores.items():
             try:
-                report[metric] = estimator([scores[k].value for k in self.team_keys], accs)
+                report[metric] = estimator(column.array, self.accuracy)
             except UndefinedCorrelationError:
                 report[metric] = None
         return report
@@ -92,12 +92,13 @@ def sweep(pool, cm, metrics, cfg=ScoreConfig(), consensus_method=SOFT,
           min_size=2, max_size=None):
     teams = list(enumerate_teams(pool.n_models, min_size, max_size))
     scores = score_teams(pool, cm, teams, metrics, cfg)
-    accuracy = team_accuracy_table(pool, teams, consensus_method)
+    table = team_accuracy_table(pool, teams, consensus_method)
+    keys = tuple(t.team_key for t in teams)
     return SweepResult(
-        team_keys=tuple(t.team_key for t in teams),
-        team_sizes=tuple(t.size for t in teams),
+        team_keys=keys,
+        team_sizes=np.array([t.size for t in teams], dtype=np.int64),
         scores=scores,
-        accuracy=accuracy,
+        accuracy=np.fromiter(map(table.__getitem__, keys), dtype=np.float64, count=len(keys)),
     )
 
 

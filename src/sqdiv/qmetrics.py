@@ -21,11 +21,12 @@ count of correct members:
     KW  sum over samples of c(k - c) / (n k^2), c correct of k members
 
 classical_batch derives all of these counts from a Gram matrix of the
-correctness rows, for a batch of teams at once; classical_scores scores one
-team's rows on an explicit subset. Degenerate denominators resolve to the
-metric's "no diversity information" value instead of raising, so a sweep
-over thousands of candidate teams never aborts mid-run; only a team of
-fewer than 2 members or an empty subset is an error.
+correctness rows, for a batch of teams at once, as one float array per
+metric; classical_scores scores one team's rows on an explicit subset.
+Degenerate denominators resolve to the metric's "no diversity information"
+value instead of raising, so a sweep over thousands of candidate teams
+never aborts mid-run; only a team of fewer than 2 members or an empty
+subset is an error.
 
 Everything here is a pure function of immutable inputs and safe to call
 concurrently across teams.
@@ -39,6 +40,10 @@ import numpy as np
 
 ANY_MEMBER_ERRS = "any-member-errs"
 FOCAL_ERRS = "focal-errs"
+
+CLASSICAL = ("CK", "QS", "BD", "GD", "KW")
+# The note a GD score carries when no member fails on any sample.
+NO_FAILURES = "no-failures"
 
 
 class UndefinedDiversityError(ValueError):
@@ -139,9 +144,12 @@ def _q_pairs(n11, n10, n01, n00):
     return np.where(den == 0, 0.0, num / np.where(den == 0, 1.0, den))
 
 
-def _row_mean(values):
-    # numpy sums a C-contiguous row pairwise, exactly as it sums a 1-d
-    # array; a Fortran-ordered batch would be summed in another order.
+def row_mean(values):
+    """Mean of each row of a 2-d array, equal to np.mean of that row alone.
+
+    numpy sums a C-contiguous row pairwise, exactly as it sums a 1-d array;
+    a Fortran-ordered batch would be summed in another order.
+    """
     return np.ascontiguousarray(values).mean(axis=1)
 
 
@@ -162,7 +170,9 @@ def classical_batch(g, members, n, removed, metrics):
     which give GD and KW. Every count is an exact integer, so each score
     equals the one computed from the subset's rows directly.
 
-    Returns {metric: [DiversityScore per team]}.
+    Returns ({metric: float array, one score per team}, no_failures), where
+    no_failures is the boolean array of teams whose GD carries the
+    "no-failures" note, or None when GD is not requested.
     """
     members = np.asarray(members, dtype=np.int64)
     n = np.asarray(n, dtype=np.int64)
@@ -179,11 +189,11 @@ def classical_batch(g, members, n, removed, metrics):
         n01 = (r[b] - both).astype(np.float64)
         n00 = n[:, None] - n11 - n10 - n01
         if "CK" in metrics:
-            out["CK"] = _row_mean(1.0 - _kappa_pairs(n11, n10, n01, n00))
+            out["CK"] = row_mean(1.0 - _kappa_pairs(n11, n10, n01, n00))
         if "QS" in metrics:
-            out["QS"] = _row_mean(_q_pairs(n11, n10, n01, n00))
+            out["QS"] = row_mean(_q_pairs(n11, n10, n01, n00))
         if "BD" in metrics:
-            out["BD"] = _row_mean((n10 + n01) / n[:, None])
+            out["BD"] = row_mean((n10 + n01) / n[:, None])
     no_failures = None
     if "GD" in metrics or "KW" in metrics:
         sum_r = r[members].sum(axis=1)
@@ -201,14 +211,7 @@ def classical_batch(g, members, n, removed, metrics):
                 out["GD"] = np.where(no_failures, 0.0, 1.0 - p2 / p1)
         if "KW" in metrics:
             out["KW"] = (k * sum_c - sum_c2) / (n * k * k)
-    scores = {}
-    for metric, values in out.items():
-        notes = no_failures.tolist() if metric == "GD" else [False] * len(values)
-        scores[metric] = [
-            DiversityScore(metric, v, note="no-failures" if note else None)
-            for v, note in zip(values.tolist(), notes)
-        ]
-    return scores
+    return out, no_failures
 
 
 def classical_scores(sub, metrics):
@@ -216,14 +219,29 @@ def classical_scores(sub, metrics):
 
     sub is the team's rows of the correctness matrix restricted to an
     evaluation subset (members x samples): classical_batch on its Gram
-    matrix, as a batch of one team. Returns {metric: DiversityScore}.
-    Raises ValueError for fewer than 2 members and UndefinedDiversityError
-    for an empty subset.
+    matrix, as a batch of one team. Metric names are matched without case
+    or edge whitespace. Returns {metric: DiversityScore}, keyed by the
+    upper-case name. Raises ValueError for a name outside CLASSICAL or fewer
+    than 2 members, and UndefinedDiversityError for an empty subset.
     """
+    names = []
+    for metric in metrics:
+        name = str(metric).strip().upper()
+        if name not in CLASSICAL:
+            raise ValueError(
+                f"not a classical metric: {metric!r} (choose from {', '.join(CLASSICAL)})"
+            )
+        names.append(name)
     k, n = sub.shape
     if k < 2:
         raise ValueError("classical metrics need a team of at least 2 members")
     if n == 0:
-        raise UndefinedDiversityError(metrics[0])
-    batch = classical_batch(gram(sub), np.arange(k)[None, :], [n], [0], metrics)
-    return {metric: scores[0] for metric, scores in batch.items()}
+        raise UndefinedDiversityError(names[0])
+    values, no_failures = classical_batch(gram(sub), np.arange(k)[None, :], [n], [0], names)
+    return {
+        metric: DiversityScore(
+            metric, float(column[0]),
+            note=NO_FAILURES if metric == "GD" and no_failures[0] else None,
+        )
+        for metric, column in values.items()
+    }

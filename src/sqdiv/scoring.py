@@ -17,6 +17,11 @@ each model's per-class label counts. A kappa's chance agreement is one
 batched matrix product sums in another order for larger pools and would
 move kappas, and so artifacts, by an ulp.
 
+Every metric comes back as a ScoreColumn: the scores of all teams as one
+float array in team order, which scans such as ranking and the CLI's
+writers read, and a read-only mapping from team key to DiversityScore that
+builds its objects only when a caller first looks a key up.
+
 Direction is metadata here: Yule's Q is a similarity (lower means more
 diverse); every other score is higher-is-diverse. Callers never need to
 know.
@@ -24,6 +29,7 @@ know.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -31,19 +37,22 @@ import numpy as np
 
 from .qmetrics import (
     ANY_MEMBER_ERRS,
+    CLASSICAL,
     FOCAL_ERRS,
+    NO_FAILURES,
     DiversityScore,
     UndefinedDiversityError,
-    _row_mean,
     classical_batch,
-    classical_scores,
     gram,
     negative_samples,
+    row_mean,
 )
 from .sq import FocalResult, SQBreakdown, cohen_kappa
 from .teams import EnsembleTeam, _size_batches, make_team
 
-METRICS = ("CK", "QS", "BD", "GD", "KW", "SQ")
+METRICS = (*CLASSICAL, "SQ")
+# The note an SQ score carries when every member is a skipped focal.
+ALL_FOCALS_SKIPPED = "all-focals-skipped"
 
 HIGHER_IS_DIVERSE = "higher-is-diverse"
 LOWER_IS_DIVERSE = "lower-is-diverse"
@@ -95,6 +104,54 @@ class ScoreConfig:
             raise ValueError("negative_cap must be a positive integer")
 
 
+class ScoreColumn(Mapping):
+    """One metric's scores over a list of teams, in the list's order.
+
+    A read-only mapping from team key to DiversityScore. array holds the
+    scores as a read-only float64 array, team_keys the team keys and
+    team_sizes the member counts, all in team order; scans over every team
+    read these. The teams marked in the boolean array flagged carry note.
+    The first key lookup builds the DiversityScore of every team in the
+    column at once, with the objects details() returns (the SQBreakdowns,
+    for SQ) as their .detail.
+    """
+
+    def __init__(self, metric, team_keys, team_sizes, array, note=None, flagged=None,
+                 details=None):
+        array.setflags(write=False)
+        self.metric = metric
+        self.team_keys = team_keys
+        self.team_sizes = team_sizes
+        self.array = array
+        self._note = note
+        self._flagged = flagged
+        self._details = details
+        self._scores = None
+
+    def _by_key(self):
+        if self._scores is None:
+            n = len(self.team_keys)
+            flagged = [False] * n if self._flagged is None else self._flagged.tolist()
+            details = [None] * n if self._details is None else self._details()
+            self._scores = {
+                key: DiversityScore(self.metric, value, detail=detail,
+                                    note=self._note if flag else None)
+                for key, value, flag, detail in zip(
+                    self.team_keys, self.array.tolist(), flagged, details)
+            }
+            self._details = None
+        return self._scores
+
+    def __getitem__(self, key):
+        return self._by_key()[key]
+
+    def __iter__(self):
+        return iter(self._by_key())
+
+    def __len__(self):
+        return len(self._by_key())
+
+
 # Set bits per byte value: counts the samples of a packed row.
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
@@ -109,7 +166,8 @@ def _undefined(metrics, team):
 
 def _closed_form_classical(cm, teams, metrics, cfg):
     """Classical scores on every team's full negative set, or on all samples
-    with use_full_set, from the Gram matrix: {metric: [score per team]}."""
+    with use_full_set, from the Gram matrix: ({metric: array of scores in
+    team order}, GD's no-failures mask or None), as classical_batch."""
     packed = np.packbits(cm.bits, axis=1)
     batches = _size_batches(
         [t.member_ids for t in teams], lambda k: k * packed.shape[1] + 64 * k * k
@@ -125,21 +183,22 @@ def _closed_form_classical(cm, teams, metrics, cfg):
     if empty.size:
         raise _undefined(metrics, teams[empty[0]])
     g = gram(cm.bits)
-    scored = {metric: [None] * len(teams) for metric in metrics}
+    values, no_failures = _empty_columns(len(teams), metrics)
     for positions, members in batches:
-        batch = classical_batch(g, members, n[positions], removed[positions], metrics)
-        for metric, scores in batch.items():
-            column = scored[metric]
-            for pos, score in zip(positions, scores):
-                column[pos] = score
-    return scored
+        batch, flags = classical_batch(g, members, n[positions], removed[positions], metrics)
+        for metric, column in batch.items():
+            values[metric][positions] = column
+        if flags is not None:
+            no_failures[positions] = flags
+    return values, no_failures
 
 
 def _sampled_classical(cm, teams, metrics, cfg):
     """Classical scores on capped negative sets, which are random subsets,
-    from each team's slice of the correctness rows."""
-    scored = {metric: [] for metric in metrics}
-    for team in teams:
+    from each team's slice of the correctness rows; returned as
+    _closed_form_classical returns them."""
+    values, no_failures = _empty_columns(len(teams), metrics)
+    for pos, team in enumerate(teams):
         neg = negative_samples(
             cm, team, mode=ANY_MEMBER_ERRS, seed=cfg.seed, cap=cfg.negative_cap
         )
@@ -147,9 +206,20 @@ def _sampled_classical(cm, teams, metrics, cfg):
         if idx.size == 0:
             raise _undefined(metrics, team)
         sub = cm.bits[list(team.member_ids)][:, idx]
-        for metric, score in classical_scores(sub, metrics).items():
-            scored[metric].append(score)
-    return scored
+        batch, flags = classical_batch(
+            gram(sub), np.arange(team.size)[None, :], [idx.size], [0], metrics
+        )
+        for metric, column in batch.items():
+            values[metric][pos] = column[0]
+        if flags is not None:
+            no_failures[pos] = flags[0]
+    return values, no_failures
+
+
+def _empty_columns(n_teams, metrics):
+    values = {metric: np.empty(n_teams) for metric in metrics}
+    no_failures = np.zeros(n_teams, dtype=bool) if "GD" in metrics else None
+    return values, no_failures
 
 
 def score_team(pool, cm, team, metric, cfg=ScoreConfig()):
@@ -208,8 +278,10 @@ class _FocalTables:
                 self.kappa[f, others[i], others[j]] = k
                 self.kappa[f, others[j], others[i]] = k
 
-    def breakdowns(self, teams, cfg):
-        """SQBreakdown of every team, in input order.
+    def _terms(self, batches, cfg):
+        """Per batch of equal-size teams (from _size_batches): positions,
+        members, the per-focal epsilon, alpha and combined terms (teams x
+        k) and the team scores.
 
         The focal role rotates through every member; members with no
         negative samples are skipped, and the team score is the mean
@@ -217,10 +289,7 @@ class _FocalTables:
         mean is taken over the same values in the same order as for a
         single team, so batching never changes a score.
         """
-        out = [None] * len(teams)
-        for positions, members in _size_batches(
-            [t.member_ids for t in teams], lambda k: 64 * k * k
-        ):
+        for positions, members in batches:
             t, k = members.shape
             eps = np.empty((t, k))
             alpha = np.zeros((t, k))
@@ -228,9 +297,9 @@ class _FocalTables:
             for j in range(k):
                 focal = members[:, j:j + 1]
                 others = np.delete(members, j, axis=1)
-                eps[:, j] = _row_mean(self.acc[focal, others])
+                eps[:, j] = row_mean(self.acc[focal, others])
                 if k > 2:
-                    alpha[:, j] = _row_mean(self.kappa[focal, others[:, ia], others[:, ib]])
+                    alpha[:, j] = row_mean(self.kappa[focal, others[:, ia], others[:, ib]])
             combined = cfg.w_epsilon * eps + cfg.w_alpha * alpha
             evaluated = self.counts[members] > 0
             n_evaluated = evaluated.sum(axis=1)
@@ -238,7 +307,23 @@ class _FocalTables:
             for e in np.unique(n_evaluated[n_evaluated > 0]):
                 rows = np.flatnonzero(n_evaluated == e)
                 kept = combined[rows][evaluated[rows]].reshape(rows.size, e)
-                aggregate[rows] = _row_mean(kept)
+                aggregate[rows] = row_mean(kept)
+            yield positions, members, eps, alpha, combined, aggregate
+
+    def scores(self, batches, n_teams, cfg):
+        """SQ of every team in input order, and the mask of teams whose
+        every focal is skipped."""
+        aggregate = np.zeros(n_teams)
+        all_skipped = np.zeros(n_teams, dtype=bool)
+        for positions, members, _, _, _, team_scores in self._terms(batches, cfg):
+            aggregate[positions] = team_scores
+            all_skipped[positions] = ~(self.counts[members] > 0).any(axis=1)
+        return aggregate, all_skipped
+
+    def breakdowns(self, batches, n_teams, cfg):
+        """SQBreakdown of every team, in input order."""
+        out = [None] * n_teams
+        for positions, members, eps, alpha, combined, aggregate in self._terms(batches, cfg):
             columns = zip(
                 positions, members.tolist(), self.counts[members].tolist(),
                 eps.tolist(), alpha.tolist(), combined.tolist(), aggregate.tolist(),
@@ -261,30 +346,39 @@ class _FocalTables:
 def score_teams(pool, cm, teams, metrics, cfg=ScoreConfig()):
     """Score many teams with many metrics in one pass.
 
-    Returns {metric: {team_key: DiversityScore}}. Classical-metric errors on
-    a degenerate team abort the sweep naming the first such team in input
-    order.
+    Returns {metric: ScoreColumn}: per metric, the scores of the teams in
+    input order as an array, readable as a mapping {team_key:
+    DiversityScore}. A GD score of a team on which nothing fails carries the
+    "no-failures" note, and an SQ score of a team whose every focal is
+    skipped the "all-focals-skipped" note; an SQ score's .detail is the
+    team's SQBreakdown. Classical-metric errors on a degenerate team abort
+    the sweep naming the first such team in input order.
     """
     teams = list(teams)
     metrics = [normalize_metric(m) for m in metrics]
     if len(set(metrics)) != len(metrics):
         raise ValueError("duplicate metrics requested")
-    keys = [team.team_key for team in teams]
+    keys = tuple(team.team_key for team in teams)
+    sizes = np.array([team.size for team in teams], dtype=np.int64)
     out = {}
     classical = [m for m in metrics if m != "SQ"]
     if classical:
         if cfg.negative_cap is None or cfg.use_full_set:
-            scored = _closed_form_classical(cm, teams, classical, cfg)
+            values, no_failures = _closed_form_classical(cm, teams, classical, cfg)
         else:
-            scored = _sampled_classical(cm, teams, classical, cfg)
-        out.update((metric, dict(zip(keys, scored[metric]))) for metric in classical)
-    if "SQ" in metrics:
-        breakdowns = _FocalTables(pool, cm, teams, cfg).breakdowns(teams, cfg)
-        out["SQ"] = {
-            key: DiversityScore(
-                "SQ", b.aggregate, detail=b,
-                note="all-focals-skipped" if b.all_skipped else None,
+            values, no_failures = _sampled_classical(cm, teams, classical, cfg)
+        for metric in classical:
+            gd = metric == "GD"
+            out[metric] = ScoreColumn(
+                metric, keys, sizes, values[metric],
+                note=NO_FAILURES if gd else None, flagged=no_failures if gd else None,
             )
-            for key, b in zip(keys, breakdowns)
-        }
+    if "SQ" in metrics:
+        tables = _FocalTables(pool, cm, teams, cfg)
+        batches = _size_batches([t.member_ids for t in teams], lambda k: 64 * k * k)
+        aggregate, all_skipped = tables.scores(batches, len(teams), cfg)
+        out["SQ"] = ScoreColumn(
+            "SQ", keys, sizes, aggregate, note=ALL_FOCALS_SKIPPED, flagged=all_skipped,
+            details=lambda: tables.breakdowns(batches, len(keys), cfg),
+        )
     return {metric: out[metric] for metric in metrics}

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .pool import model_accuracy
 from .qmetrics import DiversityScore
 from .scoring import (
     HIGHER_IS_DIVERSE,
+    ScoreColumn,
     ScoreConfig,
     metric_direction,
     normalize_metric,
@@ -69,22 +72,39 @@ def _score_value(score):
 def rank_teams(scores, metric, k):
     """Rank a {team: score} map and return the top k entries.
 
-    Teams may be EnsembleTeam objects or team-key strings. k larger than
-    the map returns everything.
+    scores is a ScoreColumn from score_teams, whose arrays are read
+    directly, or a plain map whose teams may be EnsembleTeam objects or
+    team-key strings and whose scores may be DiversityScores or numbers. k
+    larger than the map returns everything.
     """
     metric = normalize_metric(metric)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not scores:
+    if isinstance(scores, ScoreColumn):
+        teams = None
+        keys, sizes, values = scores.team_keys, scores.team_sizes, scores.array
+    else:
+        teams = [_coerce_team(t) for t in scores]
+        keys = [t.team_key for t in teams]
+        sizes = [t.size for t in teams]
+        values = np.array([_score_value(s) for s in scores.values()], dtype=np.float64)
+    if not len(keys):
         raise ValueError("rank_teams needs a non-empty score map")
     direction = metric_direction(metric)
     sign = -1.0 if direction == HIGHER_IS_DIVERSE else 1.0
-    items = [(_coerce_team(t), _score_value(s)) for t, s in scores.items()]
-    items.sort(key=lambda ts: (sign * ts[1], ts[0].size, ts[0].team_key))
-    return [
-        RankedEntry(rank=i + 1, team=team, metric=metric, score=value, direction=direction)
-        for i, (team, value) in enumerate(items[:k])
-    ]
+    # np.lexsort is stable and sorts by its last key first. Keys compare as
+    # strings ("1-10" < "1-2"), and -0.0 ties with 0.0.
+    order = np.lexsort((np.array(keys), sizes, sign * values))
+    ranked = []
+    for i in order.tolist():
+        if ranked and ranked[-1].team.team_key == keys[i]:
+            continue  # a team scored twice in one column
+        team = teams[i] if teams else _coerce_team(keys[i])
+        ranked.append(RankedEntry(rank=len(ranked) + 1, team=team, metric=metric,
+                                  score=float(values[i]), direction=direction))
+        if len(ranked) == k:
+            break
+    return ranked
 
 
 def select_and_evaluate(
@@ -100,7 +120,7 @@ def select_and_evaluate(
     consensus_method = normalize_method(consensus_method)
     teams = list(enumerate_teams(pool.n_models, min_size, max_size))
     scored = score_teams(pool, cm, teams, [metric], cfg)[metric]
-    ranked = rank_teams({t: scored[t.team_key] for t in teams}, metric, k)
+    ranked = rank_teams(scored, metric, k)
     rows = []
     for entry in ranked:
         team = make_team(entry.team.member_ids, pool.n_models)

@@ -12,9 +12,10 @@ from sqdiv.analytics import (
     pearson,
     scatter_export,
     spearman,
+    sweep,
 )
 from sqdiv.pool import correctness
-from sqdiv.scoring import ScoreConfig, score_teams
+from sqdiv.scoring import METRICS, ScoreConfig, score_teams
 from sqdiv.teams import count_teams, enumerate_teams, make_team, soft_vote
 
 
@@ -82,6 +83,47 @@ def test_scatter_export_shape_and_recompute():
         assert size == team.size
         assert score == scores[key].value
         assert acc == soft_vote(pool, team).accuracy
+
+
+def _perfect_pair_pool(seed, m=5, n=200, c=3):
+    """Random label pool in which models 0 and 1 are always right."""
+    rng = np.random.default_rng(seed)
+    truth = rng.integers(0, c, size=n)
+    labels = np.where(rng.random((m, n)) < 0.6, truth, (truth + 1) % c)
+    labels[:2] = truth
+    return pool_from_labels(labels, truth, c)
+
+
+@pytest.mark.parametrize("cfg", [
+    ScoreConfig(), ScoreConfig(negative_cap=50), ScoreConfig(use_full_set=True),
+], ids=["default", "neg-cap-50", "full-set"])
+def test_scatter_rows_from_columns_equal_key_lookups(cfg):
+    """Rows read from the score arrays, as the CLI writes them, equal rows
+    read through per-key lookups, and the degenerate-case notes survive the
+    lookup. In the second pool, every focal of team 01 is skipped by SQ and,
+    on all samples, nothing fails for GD; its empty negative set leaves the
+    classical metrics undefined otherwise."""
+    for pool in (random_pool(31, 5, 200, 3), _perfect_pair_pool(7)):
+        perfect = bool(correctness(pool).bits[:2].all())
+        metrics = list(METRICS) if cfg.use_full_set or not perfect else ["SQ"]
+        result = sweep(pool, correctness(pool), metrics, cfg)
+        rows = {metric: result.rows(metric) for metric in metrics}
+        for metric in metrics:
+            column = result.scores[metric]
+            looked_up = [
+                (key, size, column[key].value, acc) for key, size, acc in
+                zip(result.team_keys, result.team_sizes.tolist(), result.accuracy.tolist())
+            ]
+            assert rows[metric] == looked_up, metric
+            notes = {key: column[key].note for key in result.team_keys}
+            expected = {"GD": "no-failures", "SQ": "all-focals-skipped"}.get(metric)
+            flagged = {key for key, note in notes.items() if note is not None}
+            if perfect and expected and (metric == "SQ" or cfg.use_full_set):
+                assert flagged == {"01"} and notes["01"] == expected, metric
+            else:
+                assert not flagged, metric
+            if metric == "SQ":
+                assert column["01"].detail.all_skipped == perfect
 
 
 @pytest.mark.parametrize("m", [3, 5])

@@ -8,6 +8,8 @@ import pytest
 
 from sqdiv.cli import main
 from sqdiv.pool import correctness, load_pool, write_pool
+from sqdiv.qmetrics import DiversityScore
+from sqdiv.sq import FocalResult, SQBreakdown
 from sqdiv.scoring import ScoreConfig, score_team
 from sqdiv.teams import make_team, soft_vote
 
@@ -180,6 +182,27 @@ def test_select_end_ue_matches_library(sim_pool, tmp_path, capsys):
         assert row["team"] == expected.team_key
         assert float(row["score"]) == expected.score
         assert float(row["ensemble_acc"]) == expected.ensemble_accuracy
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate"],
+    ["evaluate", "--neg-cap", "50"],
+    ["evaluate", "--full-set", "--consensus", "majority"],
+    ["select", "--metric", "sq"],
+    ["select", "--metric", "qs", "--neg-cap", "50"],
+])
+def test_cli_builds_no_score_objects(sim_pool, tmp_path, capsys, monkeypatch, argv):
+    """The CLI reads score columns as arrays: no per-team score, SQ
+    breakdown or focal record is ever constructed."""
+    built = []
+    for cls in (DiversityScore, SQBreakdown, FocalResult):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    code, _, err = run([*argv, "--pool", str(sim_pool), "--out", str(tmp_path / "o")], capsys)
+    assert code == 0, err
+    assert built == []
 
 
 def test_inspect_round_trip(sim_pool, tmp_path, capsys):

@@ -211,6 +211,20 @@ def test_single_member_team_rejected(name):
         classical_scores(sub, [name])
 
 
+
+def test_classical_scores_matches_names_without_case():
+    sub = np.array([(1, 0, 1), (0, 0, 1)], dtype=bool)
+    lower = classical_scores(sub, [" ck", "gd "])
+    assert lower == classical_scores(sub, ["CK", "GD"])
+    assert list(lower) == ["CK", "GD"]
+
+
+@pytest.mark.parametrize("names, bad", [(["SQ"], "SQ"), (["CK", "XX"], "XX"), (["SQ", "XX"], "SQ")])
+def test_classical_scores_rejects_other_metric_names(names, bad):
+    sub = np.array([(1, 0, 1), (0, 0, 1)], dtype=bool)
+    with pytest.raises(ValueError, match=f"not a classical metric: '{bad}'"):
+        classical_scores(sub, names)
+
 # --- properties --------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)

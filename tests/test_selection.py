@@ -2,13 +2,20 @@ import numpy as np
 import pytest
 
 import _reference as ref
-from _pools import make_cm, pool_from_probs, random_pool
+from _pools import make_cm, pool_from_labels, pool_from_probs, random_pool
 from sqdiv.cli import main
 from sqdiv.pool import correctness, model_accuracy, write_pool
 from sqdiv.qmetrics import UndefinedDiversityError
-from sqdiv.scoring import ScoreConfig, score_team, score_teams
+from sqdiv.scoring import (
+    HIGHER_IS_DIVERSE,
+    ScoreColumn,
+    ScoreConfig,
+    metric_direction,
+    score_team,
+    score_teams,
+)
 from sqdiv.selection import SelectionRow, rank_teams, select_and_evaluate
-from sqdiv.teams import enumerate_teams, make_team
+from sqdiv.teams import enumerate_teams, make_team, parse_team_key
 
 
 def test_rank_smaller_team_wins_ties():
@@ -67,6 +74,49 @@ def test_rank_validation():
         rank_teams({"12": 0.1}, "SQ", k=0)
     with pytest.raises(ValueError, match="unknown metric"):
         rank_teams({"12": 0.1}, "wat", k=1)
+
+
+def _sorted_keys(scores, metric):
+    """The ranking as one sort of (signed score, size, key) tuples."""
+    sign = -1.0 if metric_direction(metric) == HIGHER_IS_DIVERSE else 1.0
+    items = [(key, getattr(s, "value", s)) for key, s in scores.items()]
+    items.sort(key=lambda kv: (sign * kv[1], len(parse_team_key(kv[0])), kv[0]))
+    return [key for key, _ in items]
+
+
+def _clone_pool(m):
+    labels = np.tile(np.array([0, 1, 0, 1, 1, 0]), (m, 1))
+    labels[:, 5] = 1  # a shared error keeps every negative set non-empty
+    return pool_from_labels(labels, truth=(0, 1, 0, 1, 1, 0), n_classes=2)
+
+
+@pytest.mark.parametrize("pool", [_clone_pool(11), random_pool(12, 12, 30, 3)],
+                         ids=["clones-m11", "random-m12"])
+@pytest.mark.parametrize("metric", ["BD", "QS", "SQ"])
+def test_rank_column_equals_tuple_sort(pool, metric):
+    """Hyphenated keys compare as strings ("1-10" < "1-2"); the all-clone
+    pool ties every score, so size and key decide the whole order."""
+    cm = correctness(pool)
+    teams = list(enumerate_teams(pool.n_models))
+    column = score_teams(pool, cm, teams, [metric], ScoreConfig())[metric]
+    expected = _sorted_keys(column, metric)
+    for scores in (column, dict(column)):
+        ranked = rank_teams(scores, metric, k=len(teams))
+        assert [e.team.team_key for e in ranked] == expected
+        assert [e.score for e in ranked] == [column[key].value for key in expected]
+        assert [e.rank for e in rank_teams(scores, metric, k=5)] == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("metric", ["CK", "QS"])
+def test_rank_negative_zero_ties_with_zero(metric):
+    scores = {"13": 0.0, "023": -0.0, "12": -0.0, "014": 0.0, "24": 0.5}
+    keys = tuple(scores)
+    column = ScoreColumn(metric, keys, np.array([len(k) for k in keys]),
+                         np.array(list(scores.values())))
+    expected = _sorted_keys(scores, metric)
+    assert [k for k in expected if k != "24"] == ["12", "13", "014", "023"]
+    for ranked in (rank_teams(scores, metric, k=5), rank_teams(column, metric, k=5)):
+        assert [e.team.team_key for e in ranked] == expected
 
 
 def test_score_teams_matches_score_team():
