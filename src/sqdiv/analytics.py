@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scoring import ScoreConfig, normalize_metric, score_teams
+from .scoring import ScoreConfig, score_teams
 from .teams import SOFT, consensus, enumerate_teams, make_team, team_accuracy_table
 
 
@@ -92,21 +92,12 @@ def sweep(pool, cm, metrics, cfg=ScoreConfig(), consensus_method=SOFT,
           min_size=2, max_size=None):
     teams = list(enumerate_teams(pool.n_models, min_size, max_size))
     scores = score_teams(pool, cm, teams, metrics, cfg)
-    table = team_accuracy_table(pool, teams, consensus_method)
-    keys = tuple(t.team_key for t in teams)
     return SweepResult(
-        team_keys=keys,
+        team_keys=tuple(t.team_key for t in teams),
         team_sizes=np.array([t.size for t in teams], dtype=np.int64),
         scores=scores,
-        accuracy=np.fromiter(map(table.__getitem__, keys), dtype=np.float64, count=len(keys)),
+        accuracy=team_accuracy_table(pool, teams, consensus_method),
     )
-
-
-def scatter_export(pool, cm, metric, cfg=ScoreConfig(), consensus_method=SOFT,
-                   min_size=2, max_size=None):
-    """One (team_key, team_size, score, accuracy) row per candidate team."""
-    metric = normalize_metric(metric)
-    return sweep(pool, cm, [metric], cfg, consensus_method, min_size, max_size).rows(metric)
 
 
 def correlation_report(pool, cm, metrics, cfg=ScoreConfig(), consensus_method=SOFT,
@@ -124,7 +115,7 @@ def case_study(pool, team, sample_id, consensus_method=SOFT):
     """Faithful slice of one sample: member probabilities, member argmax
     labels, the consensus label, and the truth. JSON-ready."""
     j = pool.sample_index(sample_id)
-    team = make_team(getattr(team, "member_ids", team), pool.n_models)
+    team = make_team(team, pool.n_models)
     labels = pool.predicted_labels()
     fused = consensus(pool, team, consensus_method)
     truth_idx = int(pool.truth[j])

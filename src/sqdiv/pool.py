@@ -137,12 +137,6 @@ class PredictionPool:
     def n_classes(self):
         return len(self.classes)
 
-    def class_index(self, name):
-        try:
-            return self.classes.index(name)
-        except ValueError:
-            raise PoolFormatError(f"unknown class label: {name!r}") from None
-
     def sample_index(self, sample_id):
         try:
             return self.sample_ids.index(sample_id)
@@ -178,7 +172,6 @@ class CorrectnessMatrix:
     """Boolean (M, N) matrix: bits[i, j] iff model i predicts sample j right."""
 
     bits: np.ndarray
-    derived_from: str
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=bool)
@@ -196,7 +189,7 @@ class CorrectnessMatrix:
 def correctness(pool):
     """Derive the correctness matrix; pure and deterministic for a given pool."""
     bits = pool.predicted_labels() == pool.truth[None, :]
-    return CorrectnessMatrix(bits=bits, derived_from=pool.fingerprint())
+    return CorrectnessMatrix(bits=bits)
 
 
 def model_accuracy(cm, model_id):

@@ -67,8 +67,6 @@ class NegativeSampleSet:
     sample_indices: tuple[int, ...]
     mode: str
     focal_id: int | None
-    seed: int
-    cap: int | None
 
     def __len__(self):
         return len(self.sample_indices)
@@ -116,8 +114,6 @@ def negative_samples(cm, team, mode=ANY_MEMBER_ERRS, seed=0, cap=None, focal_id=
         sample_indices=tuple(qualifying.tolist()),
         mode=mode,
         focal_id=None if mode == ANY_MEMBER_ERRS else int(focal_id),
-        seed=int(seed),
-        cap=cap,
     )
 
 

@@ -6,16 +6,25 @@ team's full negative set (or on all samples) follow in closed form from the
 pool's correctness Gram matrix and one count per team, the samples on which
 every member is correct (qmetrics.classical_batch). Only a capped negative
 set, a random subset, needs the team's own slice of the correctness rows.
-For the synergy metric the focal negative sets and per-focal pair
-statistics depend only on the focal model (never on the rest of the team),
-so they are built once per call, over the models that appear in the
-requested teams, and every team's breakdown is gathered from those tables.
-The tables come from integer counts on each focal's negative set: correct
-counts for SQ-epsilon, and for SQ-alpha each pair's agreement count and
-each model's per-class label counts. A kappa's chance agreement is one
-1-d dot of two count rows per pair, the dot multiclass_kappa takes: a
-batched matrix product sums in another order for larger pools and would
-move kappas, and so artifacts, by an ulp.
+
+The synergy metric SQ lets each team member take a turn as the focal model.
+The focal's failure samples form its negative set, on which two terms are
+taken:
+
+* sq_epsilon -- mean binary disagreement between each non-focal member and
+  the focal model. Because the focal is wrong on every negative sample,
+  this is the mean share of the set a non-focal member gets right: the
+  team's capacity to cover the focal's mistakes.
+* sq_alpha -- mean pairwise multi-class Cohen's kappa over the non-focal
+  members' predicted labels on the set: whether the potential correctors
+  actually agree with each other.
+
+The per-focal score is w_epsilon * sq_epsilon + w_alpha * sq_alpha, and the
+team score is the mean over every member that has at least one failure;
+members with no failures are skipped. Both weights default to 1. The focal
+negative sets and per-focal terms depend only on the focal model (never on
+the rest of the team), so _FocalTables builds them once per call from
+integer counts, and every team's SQBreakdown is gathered from those tables.
 
 Every metric comes back as a ScoreColumn: the scores of all teams as one
 float array in team order, which scans such as ranking and the CLI's
@@ -47,8 +56,7 @@ from .qmetrics import (
     negative_samples,
     row_mean,
 )
-from .sq import FocalResult, SQBreakdown, cohen_kappa
-from .teams import EnsembleTeam, _size_batches, make_team
+from .teams import _size_batches, make_team
 
 METRICS = (*CLASSICAL, "SQ")
 # The note an SQ score carries when every member is a skipped focal.
@@ -229,10 +237,42 @@ def score_team(pool, cm, team, metric, cfg=ScoreConfig()):
     UndefinedDiversityError when the classical metrics have no negative
     samples to work with.
     """
-    if not isinstance(team, EnsembleTeam):
-        team = make_team(team, cm.n_models)
+    team = make_team(team, cm.n_models)
     metric = normalize_metric(metric)
     return score_teams(pool, cm, [team], [metric], cfg)[metric][team.team_key]
+
+
+@dataclass(frozen=True)
+class FocalResult:
+    focal_id: int
+    negative_count: int
+    sq_epsilon: float
+    sq_alpha: float
+    combined: float
+
+
+@dataclass(frozen=True)
+class SQBreakdown:
+    """Per-focal components plus the aggregate team score.
+
+    aggregate is the mean combined score over evaluated focals; when every
+    focal was skipped (a team of perfect models) it is 0 and all_skipped is
+    set.
+    """
+
+    per_focal: tuple[FocalResult, ...]
+    aggregate: float
+    skipped_focals: frozenset[int]
+    all_skipped: bool
+
+
+def cohen_kappa(p_o, p_e):
+    """Cohen's kappa from the observed agreement p_o and the chance
+    agreement p_e; the p_e >= 1 degeneracy (both raters constant) resolves
+    to 1 when the labels match, else 0."""
+    if p_e >= 1.0:
+        return 1.0 if p_o >= 1.0 else 0.0
+    return (p_o - p_e) / (1.0 - p_e)
 
 
 class _FocalTables:
@@ -244,9 +284,9 @@ class _FocalTables:
     kappa[f, a, b], the kappa of every other pair (a, b) on the set (sq_alpha
     of the triple). Each kappa comes from the pair's agreement count and the
     per-class label counts of both models on the set. Its chance agreement
-    p_e = marg[a] @ marg[b] is taken one pair at a time, the dot
-    multiclass_kappa takes: a batched marg @ marg.T sums in another order
-    from about 12 other models up and moves kappas by an ulp.
+    p_e = marg[a] @ marg[b] is one 1-d dot of two per-class share rows per
+    pair: a batched marg @ marg.T sums in another order from about 12 other
+    models up and would move kappas, and so artifacts, by an ulp.
     """
 
     def __init__(self, pool, cm, teams, cfg):

@@ -64,8 +64,11 @@ def team_key_for(member_ids, n_models):
     return "-".join(str(i) for i in ids)
 
 
-def make_team(member_ids, n_models):
-    ids = tuple(sorted(int(i) for i in member_ids))
+def make_team(team, n_models):
+    """A checked EnsembleTeam, its members sorted, from an EnsembleTeam or a
+    sequence of member ids; ValueError on a repeated member, fewer than 2
+    members or a member outside the pool's n_models."""
+    ids = tuple(sorted(int(i) for i in team))
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate member ids in team")
     if len(ids) < 2:
@@ -150,10 +153,6 @@ def _size_batches(member_sets, team_bytes):
     return batches
 
 
-def _members(team):
-    return tuple(sorted(set(int(i) for i in getattr(team, "member_ids", team))))
-
-
 def _vote(method, total, votes, k):
     """Predicted labels from a team's summed member probabilities (and, for
     majority voting, its per-class vote counts)."""
@@ -189,10 +188,12 @@ def consensus(pool, team, method=SOFT):
     argmax class. Majority voting takes the plurality of member argmax
     votes; vote ties break by the highest summed member probability among
     the tied classes. Remaining argmax ties resolve to the lowest class
-    index. The output is independent of member ordering.
+    index. The output is independent of member ordering. team is an
+    EnsembleTeam or a sequence of member ids, checked as make_team checks
+    it.
     """
     method = normalize_method(method)
-    members = np.array(_members(team), dtype=np.int64)
+    members = np.array(make_team(team, pool.n_models).member_ids, dtype=np.int64)
     samples = np.arange(pool.n_samples)
     predicted = _exact_votes(
         pool, method, np.broadcast_to(members, (samples.size, members.size)), samples
@@ -200,16 +201,6 @@ def consensus(pool, team, method=SOFT):
     predicted.setflags(write=False)
     accuracy = float(np.mean(predicted == pool.truth))
     return ConsensusResult(method=method, predicted=predicted, accuracy=accuracy)
-
-
-def soft_vote(pool, team):
-    """Average member probability vectors, predict the argmax class."""
-    return consensus(pool, team, SOFT)
-
-
-def majority_vote(pool, team):
-    """Plurality over member argmax votes (see consensus for tie-breaks)."""
-    return consensus(pool, team, MAJORITY)
 
 
 # How far a soft-voting screen sum must clear 0 (see the module docstring).
@@ -274,9 +265,10 @@ def _screen_batch(rows, batch, method):
 
 
 def team_accuracy_table(pool, teams, method=SOFT):
-    """Consensus accuracy for every team, keyed by team_key.
+    """Consensus accuracy of every team, as one float64 array in the order
+    of teams.
 
-    The accuracies equal consensus on each team. Teams go in batches of one
+    Each accuracy equals consensus on its team. Teams go in batches of one
     size; a batch's 0/1 member matrix H times the (M, 2N) screen rows gives
     two sums per (team, sample) cell, which decide most cells outright:
 
@@ -296,12 +288,11 @@ def team_accuracy_table(pool, teams, method=SOFT):
     if not teams:
         raise ValueError("team_accuracy_table needs at least one team")
     method = normalize_method(method)
-    distinct = list(dict.fromkeys(team.member_ids for team in teams))
     n = pool.n_samples
     rows = _screen_rows(pool, method)
-    correct = np.zeros(len(distinct), dtype=np.int64)
+    correct = np.zeros(len(teams), dtype=np.int64)
     # Per team and sample: two float64 sums and at most eight bytes of masks.
-    batches = _size_batches(distinct, lambda k: 24 * n)
+    batches = _size_batches([team.member_ids for team in teams], lambda k: 24 * n)
     # Per exactly voted cell: at most five (C,) arrays of 8-byte values.
     cells_per_piece = max(1, _BATCH_BYTES // (40 * pool.n_classes))
     for positions, batch in batches:
@@ -313,5 +304,4 @@ def team_accuracy_table(pool, teams, method=SOFT):
             ok = predicted == pool.truth[sample[piece]]
             hits += np.bincount(team[piece][ok], minlength=len(batch))
         correct[positions] = hits
-    accuracy = dict(zip(distinct, (correct / n).tolist()))
-    return {team.team_key: accuracy[team.member_ids] for team in teams}
+    return correct / n

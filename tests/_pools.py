@@ -9,7 +9,7 @@ from sqdiv.pool import CorrectnessMatrix, ModelRecord, PredictionPool
 
 def make_cm(rows):
     """Wrap raw correctness rows for metric tests that need no pool."""
-    return CorrectnessMatrix(bits=np.asarray(rows, dtype=bool), derived_from="fixture")
+    return CorrectnessMatrix(bits=np.asarray(rows, dtype=bool))
 
 
 def _records(m):

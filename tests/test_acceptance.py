@@ -25,11 +25,12 @@ from sqdiv.scoring import ScoreConfig, score_team, score_teams
 from sqdiv.selection import rank_teams
 from sqdiv.synth import default_spec, generate
 from sqdiv.teams import (
+    MAJORITY,
+    SOFT,
+    consensus,
     count_teams,
     enumerate_teams,
-    majority_vote,
     make_team,
-    soft_vote,
     team_accuracy_table,
 )
 
@@ -69,7 +70,7 @@ def planted_experiment():
         cm = correctness(pool)
         teams = list(enumerate_teams(10))
         scores = score_teams(pool, cm, teams, ["CK", "BD", "KW", "SQ"], ScoreConfig())
-        accuracy = team_accuracy_table(pool, teams)
+        accuracy = dict(zip([t.team_key for t in teams], team_accuracy_table(pool, teams).tolist()))
         accs = [accuracy[t.team_key] for t in teams]
         correlations = {
             metric: pearson([scores[metric][t.team_key].value for t in teams], accs)
@@ -247,10 +248,10 @@ def test_consensus_equivalence_and_rescale():
             size = int(rng.integers(2, m + 1))
             members = sorted(rng.choice(m, size=size, replace=False).tolist())
             team = make_team(members, m)
-            assert soft_vote(pool, team).predicted.tolist() == ref.soft_vote_labels(
+            assert consensus(pool, team, SOFT).predicted.tolist() == ref.soft_vote_labels(
                 pool.probs, members
             )
-            assert majority_vote(pool, team).predicted.tolist() == ref.majority_vote_labels(
+            assert consensus(pool, team, MAJORITY).predicted.tolist() == ref.majority_vote_labels(
                 pool.probs, members
             )
 
@@ -263,7 +264,7 @@ def test_consensus_equivalence_and_rescale():
                 scaled_raw / scaled_raw.sum(axis=2, keepdims=True), truth
             )
             assert np.array_equal(
-                soft_vote(pool, team).predicted, soft_vote(scaled, team).predicted
+                consensus(pool, team, SOFT).predicted, consensus(scaled, team, SOFT).predicted
             )
 
 

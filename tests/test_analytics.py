@@ -10,13 +10,12 @@ from sqdiv.analytics import (
     case_study,
     correlation_report,
     pearson,
-    scatter_export,
     spearman,
     sweep,
 )
 from sqdiv.pool import correctness
 from sqdiv.scoring import METRICS, ScoreConfig, score_teams
-from sqdiv.teams import count_teams, enumerate_teams, make_team, soft_vote
+from sqdiv.teams import count_teams, consensus, enumerate_teams, make_team
 
 
 def test_pearson_perfect_lines():
@@ -70,7 +69,7 @@ def test_spearman_monotone_and_ties():
 def test_scatter_export_shape_and_recompute():
     pool = random_pool(101, 4, 50, 3)
     cm = correctness(pool)
-    rows = scatter_export(pool, cm, "bd")
+    rows = sweep(pool, cm, ["bd"]).rows("BD")
     assert len(rows) == 11
     assert all(0.0 <= acc <= 1.0 for _, _, _, acc in rows)
     keys = [k for k, _, _, _ in rows]
@@ -82,7 +81,7 @@ def test_scatter_export_shape_and_recompute():
         team = next(t for t in teams if t.team_key == key)
         assert size == team.size
         assert score == scores[key].value
-        assert acc == soft_vote(pool, team).accuracy
+        assert acc == consensus(pool, team).accuracy
 
 
 def _perfect_pair_pool(seed, m=5, n=200, c=3):
@@ -130,7 +129,7 @@ def test_scatter_rows_from_columns_equal_key_lookups(cfg):
 def test_scatter_row_count_equals_enumeration(m):
     pool = random_pool(m, m, 20, 3)
     cm = correctness(pool)
-    assert len(scatter_export(pool, cm, "kw")) == count_teams(m)
+    assert len(sweep(pool, cm, ["kw"]).rows("KW")) == count_teams(m)
 
 
 def test_correlation_report_undefined_for_constant_metric():
@@ -149,7 +148,7 @@ def test_correlation_report_matches_manual_computation():
     report = correlation_report(pool, cm, ["bd", "sq"])
     teams = list(enumerate_teams(4))
     scores = score_teams(pool, cm, teams, ["BD", "SQ"], ScoreConfig())
-    accs = [soft_vote(pool, t).accuracy for t in teams]
+    accs = [consensus(pool, t).accuracy for t in teams]
     for metric in ("BD", "SQ"):
         values = [scores[metric][t.team_key].value for t in teams]
         assert report[metric] == pytest.approx(pearson(values, accs), abs=1e-12)
@@ -161,7 +160,7 @@ def test_correlation_report_spearman_flag():
     report = correlation_report(pool, cm, ["bd"], use_spearman=True)
     teams = list(enumerate_teams(3))
     scores = score_teams(pool, cm, teams, ["BD"], ScoreConfig())["BD"]
-    accs = [soft_vote(pool, t).accuracy for t in teams]
+    accs = [consensus(pool, t).accuracy for t in teams]
     expected = spearman([scores[t.team_key].value for t in teams], accs)
     assert report["BD"] == pytest.approx(expected, abs=1e-12)
 

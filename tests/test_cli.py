@@ -9,9 +9,8 @@ import pytest
 from sqdiv.cli import main
 from sqdiv.pool import correctness, load_pool, write_pool
 from sqdiv.qmetrics import DiversityScore
-from sqdiv.sq import FocalResult, SQBreakdown
-from sqdiv.scoring import ScoreConfig, score_team
-from sqdiv.teams import make_team, soft_vote
+from sqdiv.scoring import FocalResult, ScoreConfig, SQBreakdown, score_team
+from sqdiv.teams import consensus, make_team
 
 from _pools import pool_from_labels, random_pool
 
@@ -219,7 +218,7 @@ def test_inspect_round_trip(sim_pool, tmp_path, capsys):
     assert len(record["members"]) == 3
 
     pool = load_pool(sim_pool)
-    fused = soft_vote(pool, make_team([0, 1, 3], pool.n_models))
+    fused = consensus(pool, [0, 1, 3])
     j = pool.sample_ids.index("s00002")
     assert record["consensus"]["predicted"] == pool.classes[int(fused.predicted[j])]
     assert f"sample s00002" in stdout

@@ -263,7 +263,6 @@ def test_correctness_bits_and_tie_break():
     assert not cm.bits[0, 1]  # tie resolves to class 0, truth is 1
     assert not cm.bits[1, 0]
     assert cm.bits[1, 1]
-    assert cm.derived_from == pool.fingerprint()
 
 
 def test_all_correct_pool_accuracy_one():

@@ -7,8 +7,7 @@ import _reference as ref
 from _pools import pool_from_labels, pool_from_probs, random_pool
 from sqdiv.pool import correctness
 from sqdiv.qmetrics import FOCAL_ERRS, negative_samples
-from sqdiv.scoring import ScoreConfig, score_team
-from sqdiv.sq import multiclass_kappa
+from sqdiv.scoring import ScoreConfig, cohen_kappa, score_team
 from sqdiv.teams import make_team
 
 
@@ -71,8 +70,10 @@ def test_sq_alpha_pair_team_zero(triad_pool):
 
 
 def test_multiclass_kappa_degenerate_marginals():
-    assert multiclass_kappa([2, 2, 2], [2, 2, 2], 4) == 1.0
-    assert multiclass_kappa([2, 2], [1, 1], 4) == 0.0
+    """Two constant raters (chance agreement 1) have kappa 1 when their
+    labels match and 0 when they differ."""
+    assert cohen_kappa(1.0, 1.0) == 1.0
+    assert cohen_kappa(0.0, 1.0) == 0.0
 
 
 def test_sq_score_frozen_breakdown(triad_pool):

@@ -23,8 +23,7 @@ import _reference as ref
 from _pools import pool_from_labels, pool_from_probs, random_pool
 from sqdiv.pool import correctness
 from sqdiv.qmetrics import FOCAL_ERRS, UndefinedDiversityError, classical_scores, negative_samples
-from sqdiv.scoring import ScoreConfig, score_team, score_teams
-from sqdiv.sq import multiclass_kappa
+from sqdiv.scoring import ScoreConfig, cohen_kappa, score_team, score_teams
 from sqdiv import teams as teams_module
 from sqdiv.synth import default_spec, generate
 from sqdiv.teams import MAJORITY, SOFT, consensus, enumerate_teams, team_accuracy_table
@@ -56,6 +55,17 @@ def _degenerate_pool(rng, m, n, c, structure):
         else:
             labels[row] = truth
     return pool_from_labels(labels, truth, c)
+
+
+def multiclass_kappa(labels_a, labels_b, n_classes):
+    """Cohen's kappa between two label sequences, with p_e the dot of the
+    two per-class label shares."""
+    a = np.asarray(labels_a, dtype=np.int64)
+    b = np.asarray(labels_b, dtype=np.int64)
+    p_o = float(np.count_nonzero(a == b)) / a.size
+    marg_a = np.bincount(a, minlength=n_classes) / a.size
+    marg_b = np.bincount(b, minlength=n_classes) / b.size
+    return cohen_kappa(p_o, float(marg_a @ marg_b))
 
 
 def _focal_terms(pool, cm, members, focal, cfg):
@@ -207,11 +217,11 @@ def test_accuracy_table_equals_reference_votes(seed, m, clones):
     teams = teams + teams[: len(teams) // 3]  # repeated teams
     for method, oracle in ((SOFT, ref.soft_vote_labels), (MAJORITY, ref.majority_vote_labels)):
         table = team_accuracy_table(pool, teams, method)
-        assert list(table) == list(dict.fromkeys(t.team_key for t in teams))
-        for team in teams:
+        assert table.shape == (len(teams),)
+        for team, accuracy in zip(teams, table):
             predicted = oracle(pool.probs, list(team.member_ids))
             want = float(np.mean(np.asarray(predicted) == pool.truth))
-            assert table[team.team_key] == pytest.approx(want, abs=0)
+            assert accuracy == pytest.approx(want, abs=0)
             assert consensus(pool, team, method).predicted.tolist() == predicted
 
 
@@ -224,14 +234,14 @@ def _assert_table_matches_votes(pool, teams, small_batch_bytes, oracle_every=1):
         table = team_accuracy_table(pool, teams, method)
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(teams_module, "_BATCH_BYTES", small_batch_bytes)
-            assert team_accuracy_table(pool, teams, method) == table
+            assert np.array_equal(team_accuracy_table(pool, teams, method), table)
         for i, team in enumerate(teams):
             fused = consensus(pool, team, method)
-            assert table[team.team_key] == fused.accuracy, (method, team.team_key)
+            assert table[i] == fused.accuracy, (method, team.team_key)
             if i % oracle_every == 0:
                 predicted = oracle(pool.probs, list(team.member_ids))
                 want = float(np.mean(np.asarray(predicted) == pool.truth))
-                assert table[team.team_key] == pytest.approx(want, abs=0)
+                assert table[i] == pytest.approx(want, abs=0)
                 assert fused.predicted.tolist() == predicted, (method, team.team_key)
 
 

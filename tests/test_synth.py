@@ -3,7 +3,7 @@ import pytest
 
 from sqdiv.pool import correctness, load_pool, write_pool
 from sqdiv.synth import SynthSpec, contiguous_groups, default_spec, generate, planted_best_team
-from sqdiv.teams import soft_vote
+from sqdiv.teams import consensus
 
 
 def spec_with(**overrides):
@@ -138,7 +138,7 @@ def test_accuracy_monotone_in_complement_strength():
             complement_strength=max(strength, 0.1), seed=2,
         )
         team = planted_best_team(team_spec)
-        accs.append(soft_vote(pool, team).accuracy)
+        accs.append(consensus(pool, team).accuracy)
     assert all(b >= a for a, b in zip(accs, accs[1:]))
     assert accs[-1] > accs[0]
 

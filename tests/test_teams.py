@@ -5,15 +5,16 @@ from hypothesis import strategies as st
 
 import _reference as ref
 from _pools import pool_from_probs, random_pool
+from sqdiv.synth import default_spec, generate
 from sqdiv.teams import (
     MAJORITY,
     SOFT,
+    EnsembleTeam,
+    consensus,
     count_teams,
     enumerate_teams,
-    majority_vote,
     make_team,
     parse_team_key,
-    soft_vote,
     team_accuracy_table,
 )
 
@@ -78,7 +79,7 @@ def test_soft_vote_example():
         [[(0.6, 0.4)], [(0.2, 0.8)]],
         truth=[1],
     )
-    result = soft_vote(pool, make_team([0, 1], 2))
+    result = consensus(pool, make_team([0, 1], 2), SOFT)
     assert result.predicted.tolist() == [1]
     assert result.accuracy == 1.0
     assert result.method == SOFT
@@ -90,7 +91,7 @@ def test_soft_vote_clone_team_equals_single_model():
     probs[1] = probs[0]
     probs[2] = probs[0]
     clones = pool_from_probs(probs, pool.truth)
-    team = soft_vote(clones, make_team([0, 1, 2], 4))
+    team = consensus(clones, make_team([0, 1, 2], 4), SOFT)
     solo = np.argmax(clones.probs[0], axis=1)
     assert np.array_equal(team.predicted, solo)
 
@@ -101,7 +102,7 @@ def test_majority_vote_plurality():
         [[(0.9, 0.1)], [(0.2, 0.8)], [(0.7, 0.3)]],
         truth=[0],
     )
-    result = majority_vote(pool, make_team([0, 1, 2], 3))
+    result = consensus(pool, make_team([0, 1, 2], 3), MAJORITY)
     assert result.predicted.tolist() == [0]
     assert result.method == MAJORITY
 
@@ -112,14 +113,14 @@ def test_majority_vote_tie_breaks_on_summed_probability():
         [[(0.7, 0.3)], [(0.4, 0.6)]],
         truth=[0],
     )
-    result = majority_vote(pool, make_team([0, 1], 2))
+    result = consensus(pool, make_team([0, 1], 2), MAJORITY)
     assert result.predicted.tolist() == [0]
     # flip the confidence balance -> B
     pool2 = pool_from_probs(
         [[(0.6, 0.4)], [(0.1, 0.9)]],
         truth=[0],
     )
-    assert majority_vote(pool2, make_team([0, 1], 2)).predicted.tolist() == [1]
+    assert consensus(pool2, make_team([0, 1], 2), MAJORITY).predicted.tolist() == [1]
 
 
 def test_majority_vote_final_tie_lowest_class():
@@ -127,7 +128,7 @@ def test_majority_vote_final_tie_lowest_class():
         [[(0.6, 0.4, 0.0)], [(0.4, 0.6, 0.0)]],
         truth=[2],
     )
-    result = majority_vote(pool, make_team([0, 1], 2))
+    result = consensus(pool, make_team([0, 1], 2), MAJORITY)
     assert result.predicted.tolist() == [0]
 
 
@@ -140,10 +141,10 @@ def test_votes_match_reference(seed):
     size = int(rng.integers(2, m + 1))
     members = sorted(rng.choice(m, size=size, replace=False).tolist())
     team = make_team(members, m)
-    assert soft_vote(pool, team).predicted.tolist() == ref.soft_vote_labels(
+    assert consensus(pool, team, SOFT).predicted.tolist() == ref.soft_vote_labels(
         pool.probs, members
     )
-    assert majority_vote(pool, team).predicted.tolist() == ref.majority_vote_labels(
+    assert consensus(pool, team, MAJORITY).predicted.tolist() == ref.majority_vote_labels(
         pool.probs, members
     )
 
@@ -152,8 +153,10 @@ def test_member_order_invariance():
     pool = random_pool(11, 5, 30, 4)
     a = make_team([4, 1, 2], 5)
     b = make_team([2, 4, 1], 5)
-    assert np.array_equal(soft_vote(pool, a).predicted, soft_vote(pool, b).predicted)
-    assert np.array_equal(majority_vote(pool, a).predicted, majority_vote(pool, b).predicted)
+    assert np.array_equal(consensus(pool, a, SOFT).predicted, consensus(pool, b, SOFT).predicted)
+    assert np.array_equal(
+        consensus(pool, a, MAJORITY).predicted, consensus(pool, b, MAJORITY).predicted
+    )
 
 
 def test_soft_vote_rescale_invariance():
@@ -165,20 +168,27 @@ def test_soft_vote_rescale_invariance():
         scaled_raw / scaled_raw.sum(axis=2, keepdims=True), base.truth
     )
     team = make_team([0, 1, 2], 3)
-    assert np.array_equal(soft_vote(base, team).predicted, soft_vote(scaled, team).predicted)
+    assert np.array_equal(
+        consensus(base, team, SOFT).predicted, consensus(scaled, team, SOFT).predicted
+    )
 
 
 def test_team_accuracy_table():
     pool = random_pool(15, 4, 30, 3)
     teams = list(enumerate_teams(4, max_size=3))
     table = team_accuracy_table(pool, teams, method="soft")
-    assert set(table) == {t.team_key for t in teams}
-    for team in teams:
+    assert table.shape == (len(teams),)
+    for team, accuracy in zip(teams, table):
         expected = np.mean(
             np.asarray(ref.soft_vote_labels(pool.probs, list(team.member_ids)))
             == pool.truth
         )
-        assert table[team.team_key] == pytest.approx(float(expected), abs=0)
+        assert accuracy == pytest.approx(float(expected), abs=0)
+    # Any order, a team repeated: one accuracy per position, in that order.
+    shuffled = [teams[i] for i in (7, 2, 9, 0, 2, 5)]
+    table = team_accuracy_table(pool, shuffled, method="soft")
+    assert table.tolist() == [consensus(pool, team).accuracy for team in shuffled]
+    assert table[1] == table[4]
     with pytest.raises(ValueError):
         team_accuracy_table(pool, [], method="soft")
     with pytest.raises(ValueError, match="consensus"):
@@ -193,4 +203,21 @@ def test_clone_team_accuracy_equals_model_accuracy():
     clones = pool_from_probs(probs, pool.truth)
     solo_acc = float(np.mean(np.argmax(clones.probs[0], axis=1) == clones.truth))
     table = team_accuracy_table(clones, [make_team([0, 1, 2], 3)])
-    assert table["012"] == pytest.approx(solo_acc, abs=0)
+    assert table[0] == pytest.approx(solo_acc, abs=0)
+
+
+@pytest.mark.parametrize("team, message", [
+    ((-1, 0), "outside the pool"),
+    ((0, 9), "outside the pool"),
+    ((0,), "at least 2"),
+    ((0, 0, 1), "duplicate"),
+], ids=["negative-id", "id-past-pool", "one-member", "repeated-member"])
+def test_consensus_rejects_bad_teams(team, message):
+    """consensus checks its team as make_team does, for member ids and for
+    an EnsembleTeam built without make_team."""
+    pool = generate(default_spec(n_models=4, n_samples=50, n_classes=3, seed=1))
+    for method in (SOFT, MAJORITY):
+        with pytest.raises(ValueError, match=message):
+            consensus(pool, team, method)
+        with pytest.raises(ValueError, match=message):
+            consensus(pool, EnsembleTeam(member_ids=team, team_key="x"), method)
