@@ -20,9 +20,9 @@ count of correct members:
         both do; 0 with a "no-failures" note when nothing fails
     KW  sum over samples of c(k - c) / (n k^2), c correct of k members
 
-classical_batch derives all of these counts from a Gram matrix of the
-correctness rows, for a batch of teams at once, as one float array per
-metric; classical_scores scores one team's rows on an explicit subset.
+classical_batch scores a batch of teams at once from each team's
+both-correct counts on its own subset, as one float array per metric;
+classical_scores scores one team's rows on an explicit subset.
 Degenerate denominators resolve to the metric's "no diversity information"
 value instead of raising, so a sweep over thousands of candidate teams
 never aborts mid-run; only a team of fewer than 2 members or an empty
@@ -149,40 +149,37 @@ def row_mean(values):
     return np.ascontiguousarray(values).mean(axis=1)
 
 
-def classical_batch(g, members, n, removed, metrics):
+def classical_batch(counts, n, metrics):
     """Score a batch of equal-size teams with each requested classical metric.
 
-    g is the Gram matrix (see gram) of the correctness rows over some sample
-    set S. members is a (teams, k) int array of model ids in member order.
-    Team t is evaluated on S minus removed[t] samples on which every member
-    is correct, n[t] > 0 samples in all. The scores then follow from g and
-    removed alone (Kuncheva & Whitaker 2003): with G = g[a, b], r = diag(g)
-    and R = removed[t], the pair counts on the subset are
+    counts is a (teams, k, k) int array: counts[t, a, b] counts the samples
+    of team t's own subset, n[t] > 0 samples, on which members a and b are
+    both right, and the diagonal r = counts[t, a, a] holds each member's
+    correct count. The scores follow from these counts alone (Kuncheva &
+    Whitaker 2003): with G = counts[t, a, b], the pair counts are
 
-        n11 = G - R    n10 = r[a] - G    n01 = r[b] - G    n00 = n - the rest
+        n11 = G    n10 = r[a] - G    n01 = r[b] - G    n00 = n - the rest
 
     which give CK, QS and BD; and the per-sample count c of correct members
-    has moments sum(c) = sum_a r[a] - k R and sum(c^2) = sum_ab G - k^2 R,
-    which give GD and KW. Every count is an exact integer, so each score
-    equals the one computed from the subset's rows directly.
+    has moments sum(c) = sum_a r[a] and sum(c^2) = sum_ab G, which give GD
+    and KW. Every count is an exact integer, so each score equals the one
+    computed from the subset's rows directly.
 
     Returns ({metric: float array, one score per team}, no_failures), where
     no_failures is the boolean array of teams whose GD carries the
     "no-failures" note, or None when GD is not requested.
     """
-    members = np.asarray(members, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
     n = np.asarray(n, dtype=np.int64)
-    removed = np.asarray(removed, dtype=np.int64)
-    k = members.shape[1]
+    k = counts.shape[1]
     ia, ib = np.triu_indices(k, k=1)
-    a, b = members[:, ia], members[:, ib]
-    both = g[a, b]
-    r = np.diagonal(g)
+    both = counts[:, ia, ib]
+    r = np.diagonal(counts, axis1=1, axis2=2)
     out = {}
     if any(m in metrics for m in ("CK", "QS", "BD")):
-        n11 = (both - removed[:, None]).astype(np.float64)
-        n10 = (r[a] - both).astype(np.float64)
-        n01 = (r[b] - both).astype(np.float64)
+        n11 = both.astype(np.float64)
+        n10 = (r[:, ia] - both).astype(np.float64)
+        n01 = (r[:, ib] - both).astype(np.float64)
         n00 = n[:, None] - n11 - n10 - n01
         if "CK" in metrics:
             out["CK"] = row_mean(1.0 - _kappa_pairs(n11, n10, n01, n00))
@@ -192,9 +189,8 @@ def classical_batch(g, members, n, removed, metrics):
             out["BD"] = row_mean((n10 + n01) / n[:, None])
     no_failures = None
     if "GD" in metrics or "KW" in metrics:
-        sum_r = r[members].sum(axis=1)
-        sum_c = sum_r - k * removed
-        sum_c2 = sum_r + 2 * both.sum(axis=1) - k * k * removed
+        sum_c = r.sum(axis=1)
+        sum_c2 = sum_c + 2 * both.sum(axis=1)
         if "GD" in metrics:
             # w = k - c wrong members per sample: p1 = mean(w) / k,
             # p2 = mean(w (w - 1)) / (k (k - 1)).
@@ -233,7 +229,7 @@ def classical_scores(sub, metrics):
         raise ValueError("classical metrics need a team of at least 2 members")
     if n == 0:
         raise UndefinedDiversityError(names[0])
-    values, no_failures = classical_batch(gram(sub), np.arange(k)[None, :], [n], [0], names)
+    values, no_failures = classical_batch(gram(sub)[None], [n], names)
     return {
         metric: DiversityScore(
             metric, float(column[0]),

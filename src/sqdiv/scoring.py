@@ -1,11 +1,11 @@
 """Metric registry and the team scorer.
 
 score_teams is the only scorer; score_team is score_teams run on one team.
-Teams are scored in batches of one size. The classical metrics on each
-team's full negative set (or on all samples) follow in closed form from the
-pool's correctness Gram matrix and one count per team, the samples on which
-every member is correct (qmetrics.classical_batch). Only a capped negative
-set, a random subset, needs the team's own slice of the correctness rows.
+Teams are scored in batches of one size. A batch's classical metrics come
+from each team's pair counts on its negative set, or on all samples
+(qmetrics.classical_batch): the pool's correctness Gram matrix less the
+samples every member gets right, or, when the negative set is capped to a
+random subset, the Gram matrix of the team's correctness rows on it.
 
 The synergy metric SQ lets each team member take a turn as the focal model.
 The focal's failure samples form its negative set, on which two terms are
@@ -56,7 +56,7 @@ from .qmetrics import (
     negative_samples,
     row_mean,
 )
-from .teams import _size_batches, make_team
+from .teams import make_team, size_batches
 
 METRICS = (*CLASSICAL, "SQ")
 # The note an SQ score carries when every member is a skipped focal.
@@ -172,13 +172,14 @@ def _undefined(metrics, team):
     )
 
 
-def _closed_form_classical(cm, teams, metrics, cfg):
-    """Classical scores on every team's full negative set, or on all samples
-    with use_full_set, from the Gram matrix: ({metric: array of scores in
-    team order}, GD's no-failures mask or None), as classical_batch."""
+def _classical(cm, teams, metrics, cfg):
+    """Classical scores of every team on its negative set, or on all samples
+    with use_full_set: ({metric: array of scores in team order}, GD's
+    no-failures mask or None), as classical_batch."""
     packed = np.packbits(cm.bits, axis=1)
-    batches = _size_batches(
-        [t.member_ids for t in teams], lambda k: k * packed.shape[1] + 64 * k * k
+    batches = size_batches(
+        [t.member_ids for t in teams], cm.n_models,
+        lambda k: k * packed.shape[1] + 64 * k * k,
     )
     removed = np.zeros(len(teams), dtype=np.int64)
     if not cfg.use_full_set:
@@ -186,47 +187,29 @@ def _closed_form_classical(cm, teams, metrics, cfg):
         for positions, members in batches:
             all_correct = np.bitwise_and.reduce(packed[members], axis=1)
             removed[positions] = _POPCOUNT[all_correct].sum(axis=1)
+    capped = cfg.negative_cap is not None and not cfg.use_full_set
     n = cm.n_samples - removed
+    if capped:
+        n = np.minimum(n, cfg.negative_cap)
     empty = np.flatnonzero(n == 0)
     if empty.size:
         raise _undefined(metrics, teams[empty[0]])
-    g = gram(cm.bits)
-    values, no_failures = _empty_columns(len(teams), metrics)
+    g = None if capped else gram(cm.bits)
+    values = {metric: np.empty(len(teams)) for metric in metrics}
+    no_failures = np.zeros(len(teams), dtype=bool) if "GD" in metrics else None
     for positions, members in batches:
-        batch, flags = classical_batch(g, members, n[positions], removed[positions], metrics)
+        if capped:
+            negs = (negative_samples(cm, teams[p], ANY_MEMBER_ERRS, cfg.seed, cfg.negative_cap)
+                    for p in positions)
+            counts = np.stack([gram(cm.bits[ids][:, list(neg.sample_indices)])
+                               for ids, neg in zip(members, negs)])
+        else:
+            counts = g[members[:, :, None], members[:, None, :]] - removed[positions, None, None]
+        batch, flags = classical_batch(counts, n[positions], metrics)
         for metric, column in batch.items():
             values[metric][positions] = column
         if flags is not None:
             no_failures[positions] = flags
-    return values, no_failures
-
-
-def _sampled_classical(cm, teams, metrics, cfg):
-    """Classical scores on capped negative sets, which are random subsets,
-    from each team's slice of the correctness rows; returned as
-    _closed_form_classical returns them."""
-    values, no_failures = _empty_columns(len(teams), metrics)
-    for pos, team in enumerate(teams):
-        neg = negative_samples(
-            cm, team, mode=ANY_MEMBER_ERRS, seed=cfg.seed, cap=cfg.negative_cap
-        )
-        idx = np.array(neg.sample_indices, dtype=np.int64)
-        if idx.size == 0:
-            raise _undefined(metrics, team)
-        sub = cm.bits[list(team.member_ids)][:, idx]
-        batch, flags = classical_batch(
-            gram(sub), np.arange(team.size)[None, :], [idx.size], [0], metrics
-        )
-        for metric, column in batch.items():
-            values[metric][pos] = column[0]
-        if flags is not None:
-            no_failures[pos] = flags[0]
-    return values, no_failures
-
-
-def _empty_columns(n_teams, metrics):
-    values = {metric: np.empty(n_teams) for metric in metrics}
-    no_failures = np.zeros(n_teams, dtype=bool) if "GD" in metrics else None
     return values, no_failures
 
 
@@ -319,7 +302,7 @@ class _FocalTables:
                 self.kappa[f, others[j], others[i]] = k
 
     def _terms(self, batches, cfg):
-        """Per batch of equal-size teams (from _size_batches): positions,
+        """Per batch of equal-size teams (from size_batches): positions,
         members, the per-focal epsilon, alpha and combined terms (teams x
         k) and the team scores.
 
@@ -344,7 +327,8 @@ class _FocalTables:
             evaluated = self.counts[members] > 0
             n_evaluated = evaluated.sum(axis=1)
             aggregate = np.zeros(t)
-            for e in np.unique(n_evaluated[n_evaluated > 0]):
+            # A set, not np.unique, which imports numpy.ma on numpy 2.
+            for e in set(n_evaluated.tolist()) - {0}:
                 rows = np.flatnonzero(n_evaluated == e)
                 kept = combined[rows][evaluated[rows]].reshape(rows.size, e)
                 aggregate[rows] = row_mean(kept)
@@ -392,7 +376,8 @@ def score_teams(pool, cm, teams, metrics, cfg=ScoreConfig()):
     "no-failures" note, and an SQ score of a team whose every focal is
     skipped the "all-focals-skipped" note; an SQ score's .detail is the
     team's SQBreakdown. Classical-metric errors on a degenerate team abort
-    the sweep naming the first such team in input order.
+    the sweep naming the first such team in input order. Raises ValueError
+    for a team that make_team would reject (see teams.size_batches).
     """
     teams = list(teams)
     metrics = [normalize_metric(m) for m in metrics]
@@ -403,10 +388,7 @@ def score_teams(pool, cm, teams, metrics, cfg=ScoreConfig()):
     out = {}
     classical = [m for m in metrics if m != "SQ"]
     if classical:
-        if cfg.negative_cap is None or cfg.use_full_set:
-            values, no_failures = _closed_form_classical(cm, teams, classical, cfg)
-        else:
-            values, no_failures = _sampled_classical(cm, teams, classical, cfg)
+        values, no_failures = _classical(cm, teams, classical, cfg)
         for metric in classical:
             gd = metric == "GD"
             out[metric] = ScoreColumn(
@@ -414,8 +396,8 @@ def score_teams(pool, cm, teams, metrics, cfg=ScoreConfig()):
                 note=NO_FAILURES if gd else None, flagged=no_failures if gd else None,
             )
     if "SQ" in metrics:
+        batches = size_batches([t.member_ids for t in teams], cm.n_models, lambda k: 64 * k * k)
         tables = _FocalTables(pool, cm, teams, cfg)
-        batches = _size_batches([t.member_ids for t in teams], lambda k: 64 * k * k)
         aggregate, all_skipped = tables.scores(batches, len(teams), cfg)
         out["SQ"] = ScoreColumn(
             "SQ", keys, sizes, aggregate, note=ALL_FOCALS_SKIPPED, flagged=all_skipped,

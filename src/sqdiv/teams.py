@@ -66,9 +66,13 @@ def team_key_for(member_ids, n_models):
 
 def make_team(team, n_models):
     """A checked EnsembleTeam, its members sorted, from an EnsembleTeam or a
-    sequence of member ids; ValueError on a repeated member, fewer than 2
-    members or a member outside the pool's n_models."""
-    ids = tuple(sorted(int(i) for i in team))
+    sequence of member ids; ValueError on an id that is not an integer (a
+    bool is not), a repeated member, fewer than 2 members or a member
+    outside the pool's n_models."""
+    ids = tuple(team)
+    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in ids):
+        raise ValueError(f"team member ids must be integers, got {ids!r}")
+    ids = tuple(sorted(int(i) for i in ids))
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate member ids in team")
     if len(ids) < 2:
@@ -133,23 +137,32 @@ class ConsensusResult:
 _BATCH_BYTES = 1 << 20
 
 
-def _size_batches(member_sets, team_bytes):
+def size_batches(member_sets, n_models, team_bytes):
     """Split member tuples into batches of one size, each in input order.
 
     Returns (positions, members) pairs: the tuples' positions in the input
     and a (batch, k) array of their member ids. team_bytes(k) estimates one
-    team's share of a batch's temporaries.
+    team's share of a batch's temporaries. Raises ValueError for a tuple
+    that make_team would reject: fewer than 2 members, ids not strictly
+    increasing, or an id outside the pool's n_models.
     """
     by_size = {}
     for pos, ids in enumerate(member_sets):
         by_size.setdefault(len(ids), []).append(pos)
     batches = []
     for k, positions in sorted(by_size.items()):
+        members = np.array([member_sets[p] for p in positions], dtype=np.int64)
+        bad = (np.diff(members, axis=1) <= 0).any(axis=1)
+        bad |= (members < 0).any(axis=1) | (members >= n_models).any(axis=1)
+        if k < 2 or bad.any():
+            ids = member_sets[positions[np.argmax(bad)]]
+            raise ValueError(
+                f"bad team {tuple(ids)}: a team needs at least 2 members, in "
+                f"strictly increasing order, each below the pool's {n_models} models"
+            )
         rows = max(1, _BATCH_BYTES // team_bytes(k))
         for start in range(0, len(positions), rows):
-            chunk = positions[start:start + rows]
-            members = np.array([member_sets[p] for p in chunk], dtype=np.int64)
-            batches.append((chunk, members))
+            batches.append((positions[start:start + rows], members[start:start + rows]))
     return batches
 
 
@@ -292,7 +305,7 @@ def team_accuracy_table(pool, teams, method=SOFT):
     rows = _screen_rows(pool, method)
     correct = np.zeros(len(teams), dtype=np.int64)
     # Per team and sample: two float64 sums and at most eight bytes of masks.
-    batches = _size_batches([team.member_ids for team in teams], lambda k: 24 * n)
+    batches = size_batches([t.member_ids for t in teams], pool.n_models, lambda k: 24 * n)
     # Per exactly voted cell: at most five (C,) arrays of 8-byte values.
     cells_per_piece = max(1, _BATCH_BYTES // (40 * pool.n_classes))
     for positions, batch in batches:

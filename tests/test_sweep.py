@@ -26,7 +26,15 @@ from sqdiv.qmetrics import FOCAL_ERRS, UndefinedDiversityError, classical_scores
 from sqdiv.scoring import ScoreConfig, cohen_kappa, score_team, score_teams
 from sqdiv import teams as teams_module
 from sqdiv.synth import default_spec, generate
-from sqdiv.teams import MAJORITY, SOFT, consensus, enumerate_teams, team_accuracy_table
+from sqdiv.teams import (
+    MAJORITY,
+    SOFT,
+    EnsembleTeam,
+    consensus,
+    enumerate_teams,
+    make_team,
+    team_accuracy_table,
+)
 
 CLASSICAL = {
     "CK": ref.ck_diversity,
@@ -166,6 +174,63 @@ def test_sweep_equals_per_team_paths_and_oracles(seed, m, structure, cfg):
             count, eps, alpha, combined = evaluated[focal.focal_id]
             assert focal.negative_count == count
             assert focal.combined == pytest.approx(combined, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(2, 7), cap=st.sampled_from((1, 3, 8, 40)),
+       draw_seed=st.integers(0, 5))
+def test_capped_classical_equals_per_team_slices_and_oracles(seed, m, cap, draw_seed):
+    """On capped negative sets, random subsets, each classical score equals
+    classical_scores on the team's own draw and the oracles on it."""
+    rng = np.random.default_rng(seed)
+    pool = _degenerate_pool(rng, m, 30, 3, [])
+    cm = correctness(pool)
+    teams = _team_list(rng, m, 25)
+    sweep = score_teams(pool, cm, teams, list(CLASSICAL), ScoreConfig(negative_cap=cap,
+                                                                      seed=draw_seed))
+    for team in teams:
+        members = list(team.member_ids)
+        negatives = [j for j in range(30) if not cm.bits[members, j].all()]
+        subset = list(negative_samples(cm, team, seed=draw_seed, cap=cap).sample_indices)
+        assert set(subset) <= set(negatives)
+        assert len(subset) == min(cap, len(negatives))
+        per_team = classical_scores(cm.bits[members][:, subset], list(CLASSICAL))
+        for metric, oracle in CLASSICAL.items():
+            got = sweep[metric][team.team_key]
+            assert got == per_team[metric], (metric, team.team_key)
+            want = oracle(cm.bits, members, subset)
+            assert got.value == pytest.approx(want, abs=1e-12), (metric, team.team_key)
+
+
+def test_full_set_ignores_the_cap():
+    pool = random_pool(17, 6, 40, 3)
+    cm = correctness(pool)
+    teams = list(enumerate_teams(6))
+    full = score_teams(pool, cm, teams, list(CLASSICAL), ScoreConfig(use_full_set=True))
+    capped = score_teams(pool, cm, teams, list(CLASSICAL),
+                         ScoreConfig(use_full_set=True, negative_cap=3, seed=2))
+    for metric in CLASSICAL:
+        assert np.array_equal(capped[metric].array, full[metric].array)
+        assert dict(capped[metric]) == dict(full[metric])
+
+
+@pytest.mark.parametrize("ids", [(-1, 0), (0, 9), (0,), (1, 1), (2, 0)],
+                         ids=["negative-id", "id-past-pool", "one-member", "repeated-member",
+                              "unsorted"])
+def test_batch_paths_reject_bad_teams(ids):
+    """score_teams and team_accuracy_table check every team as make_team
+    does, also an EnsembleTeam built without it."""
+    pool = generate(default_spec(n_models=4, n_samples=50, n_classes=3, seed=1))
+    cm = correctness(pool)
+    teams = [make_team((0, 1), 4), EnsembleTeam(member_ids=ids, team_key="x")]
+    for metrics, cfg in ((list(CLASSICAL), ScoreConfig()),
+                         (list(CLASSICAL), ScoreConfig(negative_cap=5)),
+                         (["SQ"], ScoreConfig())):
+        with pytest.raises(ValueError, match="bad team"):
+            score_teams(pool, cm, teams, metrics, cfg)
+    for method in (SOFT, MAJORITY):
+        with pytest.raises(ValueError, match="bad team"):
+            team_accuracy_table(pool, teams, method)
 
 
 @pytest.mark.parametrize("cfg", [

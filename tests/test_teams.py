@@ -37,6 +37,19 @@ def test_make_team_validation():
         parse_team_key("1-x")
 
 
+@pytest.mark.parametrize("ids", [
+    [0, 1.9], [True, 2], ["0", "2"], [0, np.bool_(True)], [0.0, 2],
+], ids=["float", "bool", "str", "numpy-bool", "integral-float"])
+def test_make_team_rejects_non_integer_ids(ids):
+    with pytest.raises(ValueError, match="integers"):
+        make_team(ids, 4)
+
+
+def test_make_team_accepts_numpy_integers():
+    team = make_team(np.array([3, 0], dtype=np.int32), 4)
+    assert team.member_ids == (0, 3) and all(type(i) is int for i in team.member_ids)
+
+
 def test_enumeration_counts():
     assert count_teams(4) == 11
     assert count_teams(10) == 1013
