@@ -13,8 +13,11 @@ Samples are joined across files by sample_id, never by row position; the
 labels file fixes the canonical sample order. Relative paths in the manifest
 resolve against the manifest's directory. A CSV file may start with a UTF-8
 byte order mark, end its lines in \n or \r\n and hold blank lines; fields
-are taken verbatim. A model file is read in one pass into one (N, C) array
-and written from one row template.
+are taken verbatim. A file with no '"', no NUL and no line past the csv
+field limit is split on line ends and commas without the csv module, which
+gives the same fields; a model file's cells are then parsed a chunk of rows
+at a time into one (N, C) array. The writer formats each distinct
+probability of a chunk of rows once.
 
 Pools and correctness matrices are immutable after construction and safe to
 share across threads.
@@ -27,6 +30,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -162,7 +166,7 @@ class PredictionPool:
             }
             digest = hashlib.sha256()
             digest.update(json.dumps(meta, sort_keys=True).encode("utf-8"))
-            digest.update(np.ascontiguousarray(self.probs).tobytes())
+            digest.update(np.ascontiguousarray(self.probs))
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
@@ -246,40 +250,68 @@ def _fault(path, row, message):
     return PoolFormatError(f"{path}, line {_line_of(path, row)}: {message}")
 
 
+def _plain_lines(fh):
+    """The non-blank lines of text file `fh`, opened with newline="", their
+    line ends stripped; None if a line holds '"' or NUL or is longer than
+    the csv field limit. Whenever it is not None, csv.reader's rows of the
+    same text are exactly these lines split on ','."""
+    limit = csv.field_size_limit()
+    lines = []
+    for line in fh:
+        if '"' in line or "\0" in line:
+            return None
+        line = line.rstrip("\r\n")
+        if len(line) > limit:
+            return None
+        if line:
+            lines.append(line)
+    return lines
+
+
 def _read_rows(path, context):
-    """Header and data rows of a CSV file. A UTF-8 byte order mark is
-    dropped and blank lines are skipped; fields are kept verbatim."""
+    """Header fields and data rows of a CSV file, and whether each row is
+    its line. A UTF-8 byte order mark is dropped and blank lines are
+    skipped; fields are kept verbatim. A row is its line, with fields
+    line.split(","), when _plain_lines reads the file, and csv.reader's
+    list of fields otherwise."""
     path = Path(path)
     if not path.is_file():
         raise PoolFormatError(f"{context} file not found: {path}")
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
         try:
-            rows = [row for row in reader if row]
+            rows = _plain_lines(fh)
+            plain = rows is not None
+            if not plain:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                rows = [row for row in reader if row]
         except csv.Error as exc:
             raise PoolFormatError(f"{path}, line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             raise PoolFormatError(f"{context} file is not UTF-8 text: {path}") from None
     if not rows:
         raise PoolFormatError(f"{context} file is empty: {path}")
-    return rows[0], rows[1:]
+    return (rows[0].split(",") if plain else rows[0]), rows[1:], plain
 
 
-def _first_misfit(rows, width):
-    """Index of the first row without `width` fields, or None."""
-    if set(map(len, rows)) <= {width}:
+def _first_misfit(widths, width):
+    """Index of the first entry of `widths` that is not `width`, or None."""
+    widths = list(widths)
+    if set(widths) <= {width}:
         return None
-    return next(i for i, row in enumerate(rows) if len(row) != width)
+    return next(i for i, w in enumerate(widths) if w != width)
 
 
 def _read_labels(path, classes):
     """The labels file as ({sample_id: position}, truth class indices)."""
-    header, rows = _read_rows(path, "labels")
+    header, rows, plain = _read_rows(path, "labels")
+    if plain:
+        rows = [line.split(",") for line in rows]
     if [h.strip() for h in header] != ["sample_id", "true_label"]:
         raise PoolFormatError(f"labels header must be sample_id,true_label: {path}")
     if not rows:
         raise PoolFormatError(f"labels file has no rows: {path}")
-    i = _first_misfit(rows, 2)
+    i = _first_misfit(map(len, rows), 2)
     if i is not None:
         raise _fault(path, i, f"malformed row in labels file: {rows[i]!r}")
     ids = [row[0] for row in rows]
@@ -297,6 +329,10 @@ def _read_labels(path, classes):
     return index, np.array(truth, dtype=np.int64)
 
 
+# Rows parsed per np.array call, which bounds the cell strings held at once.
+_PARSE_ROWS = 1024
+
+
 def _read_predictions(path, classes, model):
     """One model's file as (sample ids, (N, C) float64 probability block).
 
@@ -304,7 +340,7 @@ def _read_predictions(path, classes, model):
     ids, number parsing, entries in range, row sums. The first fault found
     is reported with the file, the line and the model.
     """
-    header, rows = _read_rows(path, "predictions")
+    header, rows, plain = _read_rows(path, "predictions")
     expected = ["sample_id"] + [f"p_{c}" for c in classes]
     # Header fields match with edge whitespace stripped on both sides, so a
     # padded header is accepted as in the labels file, and a class name
@@ -314,29 +350,42 @@ def _read_predictions(path, classes, model):
             f"predictions header for model {model!r} must be "
             f"{','.join(expected)}: {path}"
         )
-    i = _first_misfit(rows, len(expected))
+    width = len(expected)
+    if plain:
+        i = _first_misfit(map(str.count, rows, repeat(",")), width - 1)
+    else:
+        i = _first_misfit(map(len, rows), width)
     if i is not None:
-        raise _fault(path, i, f"malformed row for model {model!r}: {rows[i]!r}")
-    ids = [row[0] for row in rows]
+        fields = rows[i].split(",") if plain else rows[i]
+        raise _fault(path, i, f"malformed row for model {model!r}: {fields!r}")
+    ids = [line.partition(",")[0] for line in rows] if plain else [row[0] for row in rows]
     if len(set(ids)) < len(ids):
         i = _first_repeat(ids)
         raise _fault(path, i, f"duplicate sample_id {ids[i]!r} for model {model!r}")
-    try:
-        block = np.array([row[1:] for row in rows], dtype=np.float64)
-    except ValueError:
-        # np.array parses strings as float() does; find the first cell it refused.
-        for i, row in enumerate(rows):
-            for cell in row[1:]:
+    block = np.empty((len(rows), len(classes)), dtype=np.float64)
+    for start in range(0, len(rows), _PARSE_ROWS):
+        chunk = rows[start:start + _PARSE_ROWS]
+        if plain:
+            cells = ",".join(chunk).split(",")
+            del cells[::width]
+        else:
+            cells = [cell for row in chunk for cell in row[1:]]
+        try:
+            block[start:start + len(chunk)] = np.array(
+                cells, dtype=np.float64
+            ).reshape(len(chunk), len(classes))
+        except ValueError:
+            # np.array parses strings as float() does; find the first cell it refused.
+            for k, cell in enumerate(cells):
                 try:
                     float(cell)
                 except ValueError:
                     raise _fault(
-                        path, i,
+                        path, start + k // len(classes),
                         f"malformed row for model {model!r}: "
                         f"cannot parse {cell!r} as a number",
                     ) from None
-        raise
-    block = block.reshape(len(rows), len(classes))
+            raise
     bad = _first_bad_row(block)
     if bad is not None:
         i, problem = bad
@@ -440,10 +489,9 @@ def _csv_field(text):
 def write_pool(pool, out_dir):
     """Write the pool in manifest/CSV form; returns the manifest path.
 
-    Every row of a file comes from one format template and goes out through
-    one writelines call. Floats are Python's shortest round-trip repr, so a
-    reload reproduces the same fingerprint; rows end in \\r\\n and fields are
-    quoted as csv.writer quotes them.
+    Floats are Python's shortest round-trip repr, so a reload reproduces
+    the same fingerprint; rows end in \\r\\n and fields are quoted as
+    csv.writer quotes them.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -456,14 +504,10 @@ def write_pool(pool, out_dir):
     )
 
     header = ",".join(["sample_id"] + [_csv_field(f"p_{c}") for c in pool.classes])
-    row = "%s," + ",".join(["%r"] * pool.n_classes) + "\r\n"
     entries = []
     for rec in pool.models:
         fname = f"model_{rec.model_id:02d}.csv"
-        probs = pool.probs[rec.model_id]
-        _write_csv(
-            out / fname, header, (row % (sid, *p.tolist()) for sid, p in zip(ids, probs))
-        )
+        _write_csv(out / fname, header, _prob_lines(ids, pool.probs[rec.model_id]))
         entries.append(
             {"id": rec.model_id, "name": rec.name, "predictions_path": fname}
         )
@@ -480,10 +524,29 @@ def write_pool(pool, out_dir):
     return manifest_path
 
 
+# Rows whose distinct values are formatted together.
+_WRITE_ROWS = 1024
+
+
+def _prob_lines(ids, probs):
+    """The CSV lines of one model's (N, C) probabilities, row i led by
+    ids[i]. Each distinct value of a chunk of rows is formatted once: a
+    simulated row holds one peak and C - 1 equal off-peak shares."""
+    for start in range(0, len(ids), _WRITE_ROWS):
+        block = probs[start:start + _WRITE_ROWS]
+        # Keyed on bit patterns, so -0.0 and 0.0 keep their own text.
+        bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+        text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        cells = text[inverse.ravel()].reshape(block.shape).tolist()
+        for sid, row in zip(ids[start:start + _WRITE_ROWS], cells):
+            yield f"{sid},{','.join(row)}\r\n"
+
+
 def _write_csv(path, header, lines):
-    # Lines are formatted as they are written, so neither a whole file nor
-    # a model's probabilities as Python floats are ever held: either one
-    # raises the peak RSS of `simulate` at M=10, N=5000 by 4 to 6 MB.
+    # Lines are formatted as they are written, a chunk of rows at a time,
+    # so neither a whole file nor a model's probabilities as Python floats
+    # are ever held: either one raises the peak RSS of `simulate` at M=10,
+    # N=5000 by 4 to 6 MB.
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(header + "\r\n")
         fh.writelines(lines)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -70,7 +70,7 @@ def make_team(team, n_models):
     bool is not), a repeated member, fewer than 2 members or a member
     outside the pool's n_models."""
     ids = tuple(team)
-    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in ids):
+    if not all(_is_id_type(type(i)) for i in ids):
         raise ValueError(f"team member ids must be integers, got {ids!r}")
     ids = tuple(sorted(int(i) for i in ids))
     if len(set(ids)) != len(ids):
@@ -80,6 +80,11 @@ def make_team(team, n_models):
     if ids[0] < 0 or ids[-1] >= n_models:
         raise ValueError("team member outside the pool")
     return EnsembleTeam(member_ids=ids, team_key=team_key_for(ids, n_models))
+
+
+def _is_id_type(cls):
+    """Whether a member id of class `cls` is an integer: bool is not."""
+    return issubclass(cls, (int, np.integer)) and not issubclass(cls, bool)
 
 
 def parse_team_key(key):
@@ -143,22 +148,27 @@ def size_batches(member_sets, n_models, team_bytes):
     Returns (positions, members) pairs: the tuples' positions in the input
     and a (batch, k) array of their member ids. team_bytes(k) estimates one
     team's share of a batch's temporaries. Raises ValueError for a tuple
-    that make_team would reject: fewer than 2 members, ids not strictly
-    increasing, or an id outside the pool's n_models.
+    that make_team would reject: fewer than 2 members, an id that is not an
+    integer (a bool is not), ids not strictly increasing, or an id outside
+    the pool's n_models.
     """
     by_size = {}
     for pos, ids in enumerate(member_sets):
         by_size.setdefault(len(ids), []).append(pos)
     batches = []
     for k, positions in sorted(by_size.items()):
-        members = np.array([member_sets[p] for p in positions], dtype=np.int64)
-        bad = (np.diff(members, axis=1) <= 0).any(axis=1)
-        bad |= (members < 0).any(axis=1) | (members >= n_models).any(axis=1)
-        if k < 2 or bad.any():
-            ids = member_sets[positions[np.argmax(bad)]]
+        sets = [member_sets[p] for p in positions]
+        if all(map(_is_id_type, set(map(type, chain.from_iterable(sets))))):
+            members = np.array(sets, dtype=np.int64)
+            bad = (np.diff(members, axis=1) <= 0).any(axis=1)
+            bad |= (members < 0).any(axis=1) | (members >= n_models).any(axis=1)
+        else:
+            bad = [not all(_is_id_type(type(i)) for i in ids) for ids in sets]
+        if k < 2 or np.any(bad):
             raise ValueError(
-                f"bad team {tuple(ids)}: a team needs at least 2 members, in "
-                f"strictly increasing order, each below the pool's {n_models} models"
+                f"bad team {tuple(sets[np.argmax(bad)])}: a team needs at least 2 "
+                f"integer members, in strictly increasing order, each below the "
+                f"pool's {n_models} models"
             )
         rows = max(1, _BATCH_BYTES // team_bytes(k))
         for start in range(0, len(positions), rows):

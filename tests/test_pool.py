@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from sqdiv.pool import (
     PoolFormatError,
+    _plain_lines,
     correctness,
     load_pool,
     model_accuracy,
@@ -111,10 +114,16 @@ def test_malformed_rows(write_manifest, tmp_path):
     bad = tmp_path / "preds_0.csv"
 
     def fault(text, match):
-        bad.write_text(text)
-        with pytest.raises(PoolFormatError, match=match) as info:
-            load_pool(manifest)
-        return str(info.value)
+        # A quoted id in a later row sends the file to csv.reader: both
+        # readers must report the same fault on the same line.
+        messages = []
+        for body in (text, text + '"q",0.5,0.5\n'):
+            bad.write_text(body)
+            with pytest.raises(PoolFormatError, match=match) as info:
+                load_pool(manifest)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        return messages[0]
 
     def located(message, line):
         return message.startswith(f"{bad}, line {line}: ") and "model 'model-0'" in message
@@ -140,12 +149,21 @@ def test_malformed_rows(write_manifest, tmp_path):
     assert located(message, 3) and "['s2', '0.5']" in message
     message = fault("sample_id,p_a,p_b\ns1,0.7,0.7\ns2,nan,0.5\n", "out of range")
     assert located(message, 3) and "sample 's2'" in message
+    # Cells are parsed a chunk of rows at a time; a fault deep in the file
+    # still names its own line.
+    rows = "".join(f"s{j},0.5,0.5\n" for j in range(1, 3000))
+    message = fault(f"sample_id,p_a,p_b\n{rows}s0,0.5,oops\n", "malformed row")
+    assert located(message, 3001) and "cannot parse 'oops'" in message
     # Faults of the csv module and of the text encoding name the file too.
     message = fault('sample_id,p_a,p_b\n"s1,0.5,0.5\n' + "x" * 200_000 + "\n", "field limit")
     assert message.startswith(f"{bad}, line ")
-    bad.write_bytes(b"sample_id,p_a,p_b\ns\xe91,1.0,0.0\n")
-    with pytest.raises(PoolFormatError, match=f"not UTF-8 text: {re.escape(str(bad))}"):
-        load_pool(manifest)
+    message = fault("sample_id,p_a,p_b\n\n" + "s" * 200_000 + ",0.5,0.5\n", "field limit")
+    assert message.startswith(f"{bad}, line 3: ")
+    for text in (b"sample_id,p_a,p_b\ns\xe91,1.0,0.0\n",
+                 b'sample_id,p_a,p_b\n"q",1.0,0.0\ns\xe91,1.0,0.0\n'):
+        bad.write_bytes(text)
+        with pytest.raises(PoolFormatError, match=f"not UTF-8 text: {re.escape(str(bad))}"):
+            load_pool(manifest)
 
     labels = tmp_path / "labels.csv"
     bad.write_text("sample_id,p_a,p_b\ns1,1.0,0.0\n")
@@ -154,10 +172,14 @@ def test_malformed_rows(write_manifest, tmp_path):
         ("sample_id,true_label\ns1,a\ns1,b\n", "duplicate sample_id 's1'", 3),
         ("sample_id,true_label\ns0,a\n\ns1,weasel\n", "unknown class label 'weasel'", 4),
     ]:
-        labels.write_text(text)
-        with pytest.raises(PoolFormatError, match=match) as info:
-            load_pool(manifest)
-        assert str(info.value).startswith(f"{labels}, line {line}: ")
+        messages = []
+        for body in (text, text + '"q",a\n'):
+            labels.write_text(body)
+            with pytest.raises(PoolFormatError, match=match) as info:
+                load_pool(manifest)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"{labels}, line {line}: ")
 
 
 def _edit(name, old, new):
@@ -389,9 +411,10 @@ def test_constructor_names_model_and_sample():
 
 _ID_TEXT = st.text(st.sampled_from(list('ab ,"\r\né漢')), max_size=5)
 _CLASS_TEXT = st.text(st.sampled_from(list('xy,"é ')), min_size=1, max_size=3)
-# Values a writer could get wrong: zero, the smallest subnormal, a tiny
-# normal, the smallest normal, and a value that needs 17 significant digits.
-_EDGE_CELLS = [0.0, 5e-324, 1e-300, 2.2250738585072014e-308, 1.2345678901234567e-05]
+# Values a writer could get wrong: zero of either sign, the smallest
+# subnormal, a tiny normal, the smallest normal, and a value that needs 17
+# significant digits.
+_EDGE_CELLS = [0.0, -0.0, 5e-324, 1e-300, 2.2250738585072014e-308, 1.2345678901234567e-05]
 
 
 @st.composite
@@ -417,6 +440,11 @@ def _awkward_pools(draw):
 @given(pool=_awkward_pools())
 # Class names with edge whitespace are kept verbatim through a round trip.
 @example(pool=pool_from_probs([[(0.3, 0.7)], [(0.6, 0.4)]], [0], classes=["x ", " y"]))
+# Rows that repeat one value, beside zeros of both signs, which compare
+# equal but are written apart.
+@example(pool=pool_from_probs(
+    [[(0.25, 0.25, 0.0, 0.25, -0.0, 0.25), (-0.0, 0.5, 0.0, -0.0, 0.5, 0.0)],
+     [(0.25, -0.0, 0.25, 0.25, 0.25, 0.0), (0.0, -0.0, 0.0, -0.0, 0.0, 1.0)]], [0, 5]))
 def test_write_pool_matches_row_writer_and_round_trips(tmp_path_factory, pool):
     out = tmp_path_factory.mktemp("pool")
     expected = tmp_path_factory.mktemp("reference")
@@ -431,3 +459,22 @@ def test_write_pool_matches_row_writer_and_round_trips(tmp_path_factory, pool):
     assert sorted(p.name for p in out.iterdir()) == names
     for name in names:
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+# Line ends csv.reader splits records on, characters that other line
+# splitters (str.splitlines) also break at, and the two that send a file to
+# csv.reader.
+_TOKEN_TEXT = st.text(st.sampled_from(list('a1, \r\n\x0c\x85\u2028\0"')), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_TOKEN_TEXT, bom=st.booleans())
+@example(text="a\r\n\rb\x0cc,\x85\n\n ,1\u2028\r", bom=True)
+def test_plain_lines_split_as_csv_reader_does(text, bom):
+    text = "\ufeff" * bom + text
+    lines = _plain_lines(io.StringIO(text, newline=""))
+    if '"' in text or "\0" in text:
+        assert lines is None
+    else:
+        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+        assert [line.split(",") for line in lines] == rows

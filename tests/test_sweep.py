@@ -214,9 +214,10 @@ def test_full_set_ignores_the_cap():
         assert dict(capped[metric]) == dict(full[metric])
 
 
-@pytest.mark.parametrize("ids", [(-1, 0), (0, 9), (0,), (1, 1), (2, 0)],
+@pytest.mark.parametrize("ids", [(-1, 0), (0, 9), (0,), (1, 1), (2, 0), (0, 1.9), (True, 2),
+                                 (0, 2.0), (np.bool_(True), 2)],
                          ids=["negative-id", "id-past-pool", "one-member", "repeated-member",
-                              "unsorted"])
+                              "unsorted", "float", "bool", "integral-float", "numpy-bool"])
 def test_batch_paths_reject_bad_teams(ids):
     """score_teams and team_accuracy_table check every team as make_team
     does, also an EnsembleTeam built without it."""
