@@ -38,6 +38,7 @@ know.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
@@ -115,13 +116,14 @@ class ScoreConfig:
 class ScoreColumn(Mapping):
     """One metric's scores over a list of teams, in the list's order.
 
-    A read-only mapping from team key to DiversityScore. array holds the
-    scores as a read-only float64 array, team_keys the team keys and
-    team_sizes the member counts, all in team order; scans over every team
-    read these. The teams marked in the boolean array flagged carry note.
-    The first key lookup builds the DiversityScore of every team in the
-    column at once, with the objects details() returns (the SQBreakdowns,
-    for SQ) as their .detail.
+    A read-only mapping from team key to DiversityScore, with one entry per
+    team: team keys are unique. array holds the scores as a read-only
+    float64 array, team_keys the team keys and team_sizes the member
+    counts, all in team order; scans over every team read these, and so do
+    len() and iteration. The teams marked in the boolean array flagged
+    carry note. The first key lookup builds the DiversityScore of every
+    team in the column at once, with the objects details() returns (the
+    SQBreakdowns, for SQ) as their .detail.
     """
 
     def __init__(self, metric, team_keys, team_sizes, array, note=None, flagged=None,
@@ -154,10 +156,10 @@ class ScoreColumn(Mapping):
         return self._by_key()[key]
 
     def __iter__(self):
-        return iter(self._by_key())
+        return iter(self.team_keys)
 
     def __len__(self):
-        return len(self._by_key())
+        return len(self.team_keys)
 
 
 # Set bits per byte value: counts the samples of a packed row.
@@ -376,14 +378,18 @@ def score_teams(pool, cm, teams, metrics, cfg=ScoreConfig()):
     "no-failures" note, and an SQ score of a team whose every focal is
     skipped the "all-focals-skipped" note; an SQ score's .detail is the
     team's SQBreakdown. Classical-metric errors on a degenerate team abort
-    the sweep naming the first such team in input order. Raises ValueError
-    for a team that make_team would reject (see teams.size_batches).
+    the sweep naming the first such team in input order. Raises ValueError,
+    before any scoring, for a team key that appears twice and for a team
+    that make_team would reject (see teams.size_batches).
     """
     teams = list(teams)
     metrics = [normalize_metric(m) for m in metrics]
     if len(set(metrics)) != len(metrics):
         raise ValueError("duplicate metrics requested")
     keys = tuple(team.team_key for team in teams)
+    if len(set(keys)) != len(keys):
+        repeated = next(key for key, n in Counter(keys).items() if n > 1)
+        raise ValueError(f"team key {repeated!r} repeated: score each team once")
     sizes = np.array([team.size for team in teams], dtype=np.int64)
     out = {}
     classical = [m for m in metrics if m != "SQ"]

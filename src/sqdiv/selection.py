@@ -12,10 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pool import model_accuracy
-from .qmetrics import DiversityScore
 from .scoring import (
     HIGHER_IS_DIVERSE,
-    ScoreColumn,
     ScoreConfig,
     metric_direction,
     normalize_metric,
@@ -26,7 +24,6 @@ from .teams import (
     EnsembleTeam,
     consensus,
     enumerate_teams,
-    make_team,
     normalize_method,
     parse_team_key,
 )
@@ -58,53 +55,29 @@ class SelectionReport:
     rows: tuple[SelectionRow, ...]
 
 
-def _coerce_team(team):
-    if isinstance(team, EnsembleTeam):
-        return team
-    key = str(team)
-    return EnsembleTeam(member_ids=parse_team_key(key), team_key=key)
-
-
-def _score_value(score):
-    return score.value if isinstance(score, DiversityScore) else float(score)
-
-
 def rank_teams(scores, metric, k):
-    """Rank a {team: score} map and return the top k entries.
+    """Rank the teams of a ScoreColumn and return the top k entries.
 
-    scores is a ScoreColumn from score_teams, whose arrays are read
-    directly, or a plain map whose teams may be EnsembleTeam objects or
-    team-key strings and whose scores may be DiversityScores or numbers. k
-    larger than the map returns everything.
+    scores is one metric's ScoreColumn from score_teams; only its
+    team_keys, team_sizes and array are read. k larger than the column
+    returns every team.
     """
     metric = normalize_metric(metric)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if isinstance(scores, ScoreColumn):
-        teams = None
-        keys, sizes, values = scores.team_keys, scores.team_sizes, scores.array
-    else:
-        teams = [_coerce_team(t) for t in scores]
-        keys = [t.team_key for t in teams]
-        sizes = [t.size for t in teams]
-        values = np.array([_score_value(s) for s in scores.values()], dtype=np.float64)
+    keys, values = scores.team_keys, scores.array
     if not len(keys):
-        raise ValueError("rank_teams needs a non-empty score map")
+        raise ValueError("rank_teams needs a non-empty score column")
     direction = metric_direction(metric)
     sign = -1.0 if direction == HIGHER_IS_DIVERSE else 1.0
     # np.lexsort is stable and sorts by its last key first. Keys compare as
     # strings ("1-10" < "1-2"), and -0.0 ties with 0.0.
-    order = np.lexsort((np.array(keys), sizes, sign * values))
-    ranked = []
-    for i in order.tolist():
-        if ranked and ranked[-1].team.team_key == keys[i]:
-            continue  # a team scored twice in one column
-        team = teams[i] if teams else _coerce_team(keys[i])
-        ranked.append(RankedEntry(rank=len(ranked) + 1, team=team, metric=metric,
-                                  score=float(values[i]), direction=direction))
-        if len(ranked) == k:
-            break
-    return ranked
+    order = np.lexsort((np.array(keys), scores.team_sizes, sign * values))[:k]
+    return [
+        RankedEntry(rank=rank, team=EnsembleTeam(parse_team_key(keys[i]), keys[i]),
+                    metric=metric, score=float(values[i]), direction=direction)
+        for rank, i in enumerate(order.tolist(), start=1)
+    ]
 
 
 def select_and_evaluate(
@@ -120,16 +93,14 @@ def select_and_evaluate(
     consensus_method = normalize_method(consensus_method)
     teams = list(enumerate_teams(pool.n_models, min_size, max_size))
     scored = score_teams(pool, cm, teams, [metric], cfg)[metric]
-    ranked = rank_teams(scored, metric, k)
     rows = []
-    for entry in ranked:
-        team = make_team(entry.team.member_ids, pool.n_models)
-        acc = consensus(pool, team, consensus_method).accuracy
-        best = max(model_accuracy(cm, m) for m in team.member_ids)
+    for entry in rank_teams(scored, metric, k):
+        acc = consensus(pool, entry.team, consensus_method).accuracy
+        best = max(model_accuracy(cm, m) for m in entry.team.member_ids)
         rows.append(
             SelectionRow(
                 rank=entry.rank,
-                team_key=team.team_key,
+                team_key=entry.team.team_key,
                 metric=metric,
                 score=entry.score,
                 ensemble_accuracy=acc,

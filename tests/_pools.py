@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from sqdiv.pool import CorrectnessMatrix, ModelRecord, PredictionPool
+from sqdiv.scoring import ScoreColumn
+from sqdiv.teams import parse_team_key
 
 
 def make_cm(rows):
@@ -43,3 +45,11 @@ def random_pool(seed, n_models, n_samples, n_classes):
     probs = raw / raw.sum(axis=2, keepdims=True)
     truth = rng.integers(0, n_classes, size=n_samples)
     return pool_from_probs(probs, truth)
+
+
+def score_column(scores, metric):
+    """A ScoreColumn of hand-written {team key: score}, in the map's order,
+    each team's size read from its key."""
+    keys = tuple(scores)
+    sizes = np.array([len(parse_team_key(key)) for key in keys], dtype=np.int64)
+    return ScoreColumn(metric, keys, sizes, np.array(list(scores.values()), dtype=np.float64))

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 import _reference as ref
-from _pools import make_cm, pool_from_labels, pool_from_probs, random_pool
+from _pools import make_cm, pool_from_labels, pool_from_probs, random_pool, score_column
 from sqdiv.cli import main
 from sqdiv.pool import correctness, model_accuracy, write_pool
 from sqdiv.qmetrics import UndefinedDiversityError
 from sqdiv.scoring import (
     HIGHER_IS_DIVERSE,
-    ScoreColumn,
     ScoreConfig,
     metric_direction,
     score_team,
@@ -19,67 +18,69 @@ from sqdiv.teams import enumerate_teams, make_team, parse_team_key
 
 
 def test_rank_smaller_team_wins_ties():
-    ranked = rank_teams({"068": 0.8, "0678": 0.8}, "CK", k=2)
+    ranked = rank_teams(score_column({"068": 0.8, "0678": 0.8}, "CK"), "CK", k=2)
     assert [e.team.team_key for e in ranked] == ["068", "0678"]
     assert [e.rank for e in ranked] == [1, 2]
 
 
 def test_rank_higher_is_diverse_default():
-    ranked = rank_teams({"12": 0.3, "13": 0.9}, "BD", k=1)
+    ranked = rank_teams(score_column({"12": 0.3, "13": 0.9}, "BD"), "BD", k=1)
     assert ranked[0].team.team_key == "13"
     assert ranked[0].direction == "higher-is-diverse"
 
 
 def test_rank_qs_lower_is_diverse():
-    ranked = rank_teams({"12": 0.3, "13": 0.9}, "QS", k=2)
+    ranked = rank_teams(score_column({"12": 0.3, "13": 0.9}, "QS"), "QS", k=2)
     assert [e.team.team_key for e in ranked] == ["12", "13"]
     assert ranked[0].direction == "lower-is-diverse"
 
 
 def test_rank_lexicographic_residual_tie():
-    ranked = rank_teams({"13": 0.5, "12": 0.5}, "SQ", k=2)
+    ranked = rank_teams(score_column({"13": 0.5, "12": 0.5}, "SQ"), "SQ", k=2)
     assert [e.team.team_key for e in ranked] == ["12", "13"]
 
 
 def test_rank_k_larger_than_map_returns_all():
-    ranked = rank_teams({"12": 0.1, "13": 0.2, "23": 0.3}, "GD", k=10)
+    ranked = rank_teams(score_column({"12": 0.1, "13": 0.2, "23": 0.3}, "GD"), "GD", k=10)
     assert len(ranked) == 3
     assert [e.rank for e in ranked] == [1, 2, 3]
 
 
 def test_rank_is_deterministic_and_stable_under_insertion():
     scores = {"12": 0.4, "13": 0.9, "014": 0.9, "23": 0.1}
-    first = rank_teams(scores, "KW", k=10)
-    again = rank_teams(scores, "KW", k=10)
+    first = rank_teams(score_column(scores, "KW"), "KW", k=10)
+    again = rank_teams(score_column(scores, "KW"), "KW", k=10)
     assert first == again
     order = [e.team.team_key for e in first]
     scores["0123"] = 0.65
-    wider = [e.team.team_key for e in rank_teams(scores, "KW", k=10)]
+    wider = [e.team.team_key for e in rank_teams(score_column(scores, "KW"), "KW", k=10)]
     assert [k for k in wider if k != "0123"] == order
 
 
 def test_rank_topk_stability():
     rng = np.random.default_rng(0)
     scores = {f"{a}{b}": float(rng.random()) for a in range(5) for b in range(a + 1, 5)}
-    full = rank_teams(scores, "SQ", k=len(scores))
+    column = score_column(scores, "SQ")
+    full = rank_teams(column, "SQ", k=len(scores))
     for k in (1, 3, 5):
-        top = rank_teams(scores, "SQ", k=k)
+        top = rank_teams(column, "SQ", k=k)
         assert top == full[:k]
 
 
 def test_rank_validation():
     with pytest.raises(ValueError):
-        rank_teams({}, "SQ", k=1)
+        rank_teams(score_column({}, "SQ"), "SQ", k=1)
     with pytest.raises(ValueError):
-        rank_teams({"12": 0.1}, "SQ", k=0)
+        rank_teams(score_column({"12": 0.1}, "SQ"), "SQ", k=0)
     with pytest.raises(ValueError, match="unknown metric"):
-        rank_teams({"12": 0.1}, "wat", k=1)
+        rank_teams(score_column({"12": 0.1}, "SQ"), "wat", k=1)
 
 
 def _sorted_keys(scores, metric):
-    """The ranking as one sort of (signed score, size, key) tuples."""
+    """The ranking of {team key: score} as one sort of (signed score, size,
+    key) tuples."""
     sign = -1.0 if metric_direction(metric) == HIGHER_IS_DIVERSE else 1.0
-    items = [(key, getattr(s, "value", s)) for key, s in scores.items()]
+    items = list(scores.items())
     items.sort(key=lambda kv: (sign * kv[1], len(parse_team_key(kv[0])), kv[0]))
     return [key for key, _ in items]
 
@@ -99,24 +100,20 @@ def test_rank_column_equals_tuple_sort(pool, metric):
     cm = correctness(pool)
     teams = list(enumerate_teams(pool.n_models))
     column = score_teams(pool, cm, teams, [metric], ScoreConfig())[metric]
-    expected = _sorted_keys(column, metric)
-    for scores in (column, dict(column)):
-        ranked = rank_teams(scores, metric, k=len(teams))
-        assert [e.team.team_key for e in ranked] == expected
-        assert [e.score for e in ranked] == [column[key].value for key in expected]
-        assert [e.rank for e in rank_teams(scores, metric, k=5)] == [1, 2, 3, 4, 5]
+    expected = _sorted_keys({key: score.value for key, score in column.items()}, metric)
+    ranked = rank_teams(column, metric, k=len(teams))
+    assert [e.team.team_key for e in ranked] == expected
+    assert [e.score for e in ranked] == [column[key].value for key in expected]
+    assert [e.rank for e in rank_teams(column, metric, k=5)] == [1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("metric", ["CK", "QS"])
 def test_rank_negative_zero_ties_with_zero(metric):
     scores = {"13": 0.0, "023": -0.0, "12": -0.0, "014": 0.0, "24": 0.5}
-    keys = tuple(scores)
-    column = ScoreColumn(metric, keys, np.array([len(k) for k in keys]),
-                         np.array(list(scores.values())))
     expected = _sorted_keys(scores, metric)
     assert [k for k in expected if k != "24"] == ["12", "13", "014", "023"]
-    for ranked in (rank_teams(scores, metric, k=5), rank_teams(column, metric, k=5)):
-        assert [e.team.team_key for e in ranked] == expected
+    ranked = rank_teams(score_column(scores, metric), metric, k=5)
+    assert [e.team.team_key for e in ranked] == expected
 
 
 def test_score_teams_matches_score_team():
@@ -188,7 +185,8 @@ def test_select_and_evaluate_end_to_end():
 
     teams = list(enumerate_teams(5))
     scores = score_teams(pool, cm, teams, ["SQ"], ScoreConfig())["SQ"]
-    expected_order = rank_teams({t: scores[t.team_key] for t in teams}, "SQ", 3)
+    expected_order = rank_teams(
+        score_column({t.team_key: scores[t.team_key].value for t in teams}, "SQ"), "SQ", 3)
     for row, entry in zip(report.rows, expected_order):
         assert row.team_key == entry.team.team_key
         assert row.score == entry.score

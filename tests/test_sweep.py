@@ -111,30 +111,60 @@ configs = st.builds(
     ScoreConfig,
     w_epsilon=st.sampled_from((1.0, 0.3, 0.0)),
     w_alpha=st.sampled_from((1.0, 1.7, 0.0)),
+    negative_cap=st.sampled_from((None, 1, 3, 8)),
+    seed=st.integers(0, 5),
     use_full_set=st.booleans(),
     alpha_on_labels=st.booleans(),
 )
 
 
-@settings(max_examples=60, deadline=None)
+def _capped_sq_breakdown(pool, cm, members, cfg):
+    """ref.sq_breakdown's (evaluated, skipped, aggregate) on capped focal
+    negative sets: each focal's terms are _focal_terms on its own draw."""
+    errors = {f: int(np.count_nonzero(~cm.bits[f])) for f in members}
+    evaluated = {}
+    for focal in (f for f in members if errors[f]):
+        eps, alpha = _focal_terms(pool, cm, members, focal, cfg)
+        evaluated[focal] = (min(cfg.negative_cap, errors[focal]), eps, alpha,
+                            cfg.w_epsilon * eps + cfg.w_alpha * alpha)
+    aggregate = np.mean([v[3] for v in evaluated.values()]) if evaluated else 0.0
+    return evaluated, {f for f in members if not errors[f]}, aggregate
+
+
+@settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10_000), m=st.integers(2, 12), structure=structures, cfg=configs)
 # Models 0 and 1 are always right: team 01 has an empty negative set, and
 # every focal of it is skipped by SQ.
 @example(seed=5, m=3, structure=[(ALL_CORRECT, 0, 0), (ALL_CORRECT, 1, 0)], cfg=ScoreConfig())
 @example(seed=6, m=4, structure=[(ALL_CORRECT, 2, 0), (ALL_CORRECT, 3, 0)],
          cfg=ScoreConfig(use_full_set=True, alpha_on_labels=False))
+# Capped draws, with model 2 a skipped focal in every team it joins.
+@example(seed=7, m=5, structure=[(ALL_CORRECT, 2, 0)], cfg=ScoreConfig(negative_cap=3, seed=2))
 def test_sweep_equals_per_team_paths_and_oracles(seed, m, structure, cfg):
+    """Every score equals the per-team computation and the oracles: the
+    classical metrics on all samples, the team's negative set or, capped,
+    its own draw from that set; SQ per focal on the focal's negative set or
+    its own capped draw."""
     rng = np.random.default_rng(seed)
     n, c = int(rng.integers(4, 30)), int(rng.integers(2, 5))
     pool = _degenerate_pool(rng, m, n, c, structure)
     cm = correctness(pool)
     teams = _team_list(rng, m, 25)
     everything = list(range(n))
-    subsets = [
-        everything if cfg.use_full_set
-        else [j for j in everything if not cm.bits[list(t.member_ids), j].all()]
-        for t in teams
-    ]
+    negatives = [[j for j in everything if not cm.bits[list(t.member_ids), j].all()]
+                 for t in teams]
+    if cfg.use_full_set:
+        subsets = [everything] * len(teams)
+    elif cfg.negative_cap is None:
+        subsets = negatives
+    else:
+        subsets = [
+            list(negative_samples(cm, t, seed=cfg.seed, cap=cfg.negative_cap).sample_indices)
+            for t in teams
+        ]
+        for negative, subset in zip(negatives, subsets):
+            assert set(subset) <= set(negative)
+            assert len(subset) == min(cfg.negative_cap, len(negative))
 
     empty = [t.team_key for t, subset in zip(teams, subsets) if not subset]
     if empty:
@@ -159,10 +189,13 @@ def test_sweep_equals_per_team_paths_and_oracles(seed, m, structure, cfg):
         members = list(team.member_ids)
         got = sq[team.team_key]
         assert got == score_team(pool, cm, team, "SQ", cfg)
-        evaluated, skipped, aggregate = ref.sq_breakdown(
-            labels, cm.bits, members, pool.n_classes, cfg.w_epsilon, cfg.w_alpha,
-            cfg.alpha_on_labels,
-        )
+        if cfg.negative_cap is None:
+            evaluated, skipped, aggregate = ref.sq_breakdown(
+                labels, cm.bits, members, pool.n_classes, cfg.w_epsilon, cfg.w_alpha,
+                cfg.alpha_on_labels,
+            )
+        else:
+            evaluated, skipped, aggregate = _capped_sq_breakdown(pool, cm, members, cfg)
         assert got.value == pytest.approx(aggregate, abs=1e-12)
         assert got.detail.skipped_focals == skipped
         assert got.note == ("all-focals-skipped" if not evaluated else None)
@@ -174,32 +207,6 @@ def test_sweep_equals_per_team_paths_and_oracles(seed, m, structure, cfg):
             count, eps, alpha, combined = evaluated[focal.focal_id]
             assert focal.negative_count == count
             assert focal.combined == pytest.approx(combined, abs=1e-12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10_000), m=st.integers(2, 7), cap=st.sampled_from((1, 3, 8, 40)),
-       draw_seed=st.integers(0, 5))
-def test_capped_classical_equals_per_team_slices_and_oracles(seed, m, cap, draw_seed):
-    """On capped negative sets, random subsets, each classical score equals
-    classical_scores on the team's own draw and the oracles on it."""
-    rng = np.random.default_rng(seed)
-    pool = _degenerate_pool(rng, m, 30, 3, [])
-    cm = correctness(pool)
-    teams = _team_list(rng, m, 25)
-    sweep = score_teams(pool, cm, teams, list(CLASSICAL), ScoreConfig(negative_cap=cap,
-                                                                      seed=draw_seed))
-    for team in teams:
-        members = list(team.member_ids)
-        negatives = [j for j in range(30) if not cm.bits[members, j].all()]
-        subset = list(negative_samples(cm, team, seed=draw_seed, cap=cap).sample_indices)
-        assert set(subset) <= set(negatives)
-        assert len(subset) == min(cap, len(negatives))
-        per_team = classical_scores(cm.bits[members][:, subset], list(CLASSICAL))
-        for metric, oracle in CLASSICAL.items():
-            got = sweep[metric][team.team_key]
-            assert got == per_team[metric], (metric, team.team_key)
-            want = oracle(cm.bits, members, subset)
-            assert got.value == pytest.approx(want, abs=1e-12), (metric, team.team_key)
 
 
 def test_full_set_ignores_the_cap():
@@ -214,6 +221,13 @@ def test_full_set_ignores_the_cap():
         assert dict(capped[metric]) == dict(full[metric])
 
 
+# The three scoring paths: classical on full negative sets, classical on
+# capped ones, and SQ.
+_BATCH_PATHS = ((list(CLASSICAL), ScoreConfig()),
+                (list(CLASSICAL), ScoreConfig(negative_cap=5)),
+                (["SQ"], ScoreConfig()))
+
+
 @pytest.mark.parametrize("ids", [(-1, 0), (0, 9), (0,), (1, 1), (2, 0), (0, 1.9), (True, 2),
                                  (0, 2.0), (np.bool_(True), 2)],
                          ids=["negative-id", "id-past-pool", "one-member", "repeated-member",
@@ -224,14 +238,26 @@ def test_batch_paths_reject_bad_teams(ids):
     pool = generate(default_spec(n_models=4, n_samples=50, n_classes=3, seed=1))
     cm = correctness(pool)
     teams = [make_team((0, 1), 4), EnsembleTeam(member_ids=ids, team_key="x")]
-    for metrics, cfg in ((list(CLASSICAL), ScoreConfig()),
-                         (list(CLASSICAL), ScoreConfig(negative_cap=5)),
-                         (["SQ"], ScoreConfig())):
+    for metrics, cfg in _BATCH_PATHS:
         with pytest.raises(ValueError, match="bad team"):
             score_teams(pool, cm, teams, metrics, cfg)
     for method in (SOFT, MAJORITY):
         with pytest.raises(ValueError, match="bad team"):
             team_accuracy_table(pool, teams, method)
+
+
+def test_score_teams_rejects_a_repeated_team_key():
+    """A column holds one score per team key, so score_teams refuses a team
+    key given twice: a repeated team, or a hand-built team that reuses
+    another's key. team_accuracy_table takes repeated teams."""
+    pool = generate(default_spec(n_models=4, n_samples=50, n_classes=3, seed=1))
+    cm = correctness(pool)
+    a, b = make_team((0, 1), 4), make_team((1, 3), 4)
+    for teams in ([a, b, a], [a, EnsembleTeam(member_ids=(1, 3), team_key="01")]):
+        for metrics, cfg in _BATCH_PATHS:
+            with pytest.raises(ValueError, match="team key '01' repeated"):
+                score_teams(pool, cm, teams, metrics, cfg)
+    assert team_accuracy_table(pool, [a, b, a]).shape == (3,)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -264,7 +290,9 @@ def test_sweep_batches_of_many_teams_equal_single_teams():
         sweep = score_teams(pool, cm, teams, metrics, cfg)
         assert list(sweep) == metrics
         for metric in metrics:
-            assert list(sweep[metric]) == [t.team_key for t in teams]
+            column = sweep[metric]
+            assert len(column) == column.array.size == len(teams)
+            assert list(column) == list(column.team_keys) == [t.team_key for t in teams]
         for team in teams[::37]:
             for metric in metrics:
                 assert sweep[metric][team.team_key] == score_team(pool, cm, team, metric, cfg)
