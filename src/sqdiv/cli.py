@@ -282,8 +282,18 @@ def cmd_evaluate(args):
     result = sweep(pool, cm, metrics, cfg, method, args.min_size, args.max_size)
     report = result.correlations(spearman if args.spearman else pearson)
     out = _out_dir(args)
+    # The rows csv.writer writes for result.rows(metric), with each team's
+    # fields but the score formatted once for every metric. Team keys hold
+    # only digits and '-', so no field needs quotes.
+    heads = [f"{key},{size}," for key, size in zip(result.team_keys,
+                                                   result.team_sizes.tolist())]
+    tails = [f",{acc!r}\n" for acc in result.accuracy.tolist()]
     for metric in metrics:
-        _write_csv(out / f"scatter_{metric.lower()}.csv", SCATTER_COLUMNS, result.rows(metric))
+        scores = result.scores[metric].array.tolist()
+        with open(out / f"scatter_{metric.lower()}.csv", "w", newline="",
+                  encoding="utf-8") as fh:
+            fh.write(",".join(SCATTER_COLUMNS) + "\n")
+            fh.write("".join([f"{h}{s!r}{t}" for h, s, t in zip(heads, scores, tails)]))
     _write_json(out / "correlations.json", report)
     estimator_name = "spearman" if args.spearman else "pearson"
     for metric in metrics:

@@ -13,11 +13,14 @@ Samples are joined across files by sample_id, never by row position; the
 labels file fixes the canonical sample order. Relative paths in the manifest
 resolve against the manifest's directory. A CSV file may start with a UTF-8
 byte order mark, end its lines in \n or \r\n and hold blank lines; fields
-are taken verbatim. A file with no '"', no NUL and no line past the csv
-field limit is split on line ends and commas without the csv module, which
-gives the same fields; a model file's cells are then parsed a chunk of rows
-at a time into one (N, C) array. The writer formats each distinct
-probability of a chunk of rows once.
+are taken verbatim, and a cell is read as float() reads it. A file with no
+'"', no NUL, none of \x1c-\x1f and no line past the csv field limit is
+split on line ends and commas without the csv module, which gives the same
+fields, and a model file's cells are then parsed by one np.loadtxt call.
+Where np.loadtxt refuses a cell that float() may read, and for every file
+that goes through csv.reader, the cells are parsed as float() parses them,
+a chunk of rows at a time. The writer formats each distinct probability of
+a chunk of rows once and writes the chunk's lines as one string.
 
 Pools and correctness matrices are immutable after construction and safe to
 share across threads.
@@ -250,21 +253,31 @@ def _fault(path, row, message):
     return PoolFormatError(f"{path}, line {_line_of(path, row)}: {message}")
 
 
+# Characters that send a file to csv.reader: '"' and NUL, which the csv
+# module treats apart, and the four that np.loadtxt strips from a cell's
+# edges as whitespace where float() refuses the cell.
+_CSV_ONLY = '"\0\x1c\x1d\x1e\x1f'
+# Line breaks of str.splitlines, besides \r, \n and the \x1c-\x1e of
+# _CSV_ONLY, that csv.reader does not break a line at.
+_OTHER_BREAKS = "\x0b\x0c\x85\u2028\u2029"
+
+
 def _plain_lines(fh):
     """The non-blank lines of text file `fh`, opened with newline="", their
-    line ends stripped; None if a line holds '"' or NUL or is longer than
-    the csv field limit. Whenever it is not None, csv.reader's rows of the
-    same text are exactly these lines split on ','."""
-    limit = csv.field_size_limit()
-    lines = []
-    for line in fh:
-        if '"' in line or "\0" in line:
-            return None
-        line = line.rstrip("\r\n")
-        if len(line) > limit:
-            return None
-        if line:
-            lines.append(line)
+    line ends stripped; None if the text holds a character of _CSV_ONLY or
+    a line longer than the csv field limit. Whenever it is not None,
+    csv.reader's rows of the same text are exactly these lines split on
+    ','."""
+    text = fh.read()
+    if any(c in text for c in _CSV_ONLY):
+        return None
+    if any(c in text for c in _OTHER_BREAKS):
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    else:
+        lines = text.splitlines()
+    lines = list(filter(None, lines))
+    if lines and max(map(len, lines)) > csv.field_size_limit():
+        return None
     return lines
 
 
@@ -329,8 +342,41 @@ def _read_labels(path, classes):
     return index, np.array(truth, dtype=np.int64)
 
 
-# Rows parsed per np.array call, which bounds the cell strings held at once.
+# Rows parsed per np.array call of the cell-by-cell parse, which bounds the
+# cell strings held at once.
 _PARSE_ROWS = 1024
+
+
+def _parse_cells(path, rows, plain, n_classes, model):
+    """The (len(rows), n_classes) float64 block of probability cells, each
+    read as float() reads it, a chunk of rows at a time; the first cell
+    float() refuses is reported with its line."""
+    width = n_classes + 1
+    block = np.empty((len(rows), n_classes), dtype=np.float64)
+    for start in range(0, len(rows), _PARSE_ROWS):
+        chunk = rows[start:start + _PARSE_ROWS]
+        if plain:
+            cells = ",".join(chunk).split(",")
+            del cells[::width]
+        else:
+            cells = [cell for row in chunk for cell in row[1:]]
+        try:
+            block[start:start + len(chunk)] = np.array(
+                cells, dtype=np.float64
+            ).reshape(len(chunk), n_classes)
+        except ValueError:
+            # np.array parses strings as float() does; find the first cell it refused.
+            for k, cell in enumerate(cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise _fault(
+                        path, start + k // n_classes,
+                        f"malformed row for model {model!r}: "
+                        f"cannot parse {cell!r} as a number",
+                    ) from None
+            raise
+    return block
 
 
 def _read_predictions(path, classes, model):
@@ -362,30 +408,18 @@ def _read_predictions(path, classes, model):
     if len(set(ids)) < len(ids):
         i = _first_repeat(ids)
         raise _fault(path, i, f"duplicate sample_id {ids[i]!r} for model {model!r}")
-    block = np.empty((len(rows), len(classes)), dtype=np.float64)
-    for start in range(0, len(rows), _PARSE_ROWS):
-        chunk = rows[start:start + _PARSE_ROWS]
-        if plain:
-            cells = ",".join(chunk).split(",")
-            del cells[::width]
-        else:
-            cells = [cell for row in chunk for cell in row[1:]]
+    block = None
+    if plain and rows:
+        # np.loadtxt accepts no cell that float() refuses in a plain file
+        # (_CSV_ONLY keeps those out) and reads the same value where both
+        # accept one; it refuses some that float() reads, such as '0.2_5'.
         try:
-            block[start:start + len(chunk)] = np.array(
-                cells, dtype=np.float64
-            ).reshape(len(chunk), len(classes))
+            block = np.loadtxt(rows, dtype=np.float64, delimiter=",", comments=None,
+                               usecols=range(1, width), ndmin=2)
         except ValueError:
-            # np.array parses strings as float() does; find the first cell it refused.
-            for k, cell in enumerate(cells):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise _fault(
-                        path, start + k // len(classes),
-                        f"malformed row for model {model!r}: "
-                        f"cannot parse {cell!r} as a number",
-                    ) from None
-            raise
+            pass
+    if block is None:
+        block = _parse_cells(path, rows, plain, len(classes), model)
     bad = _first_bad_row(block)
     if bad is not None:
         i, problem = bad
@@ -524,22 +558,25 @@ def write_pool(pool, out_dir):
     return manifest_path
 
 
-# Rows whose distinct values are formatted together.
+# Rows whose distinct values are formatted, and whose lines are written,
+# together.
 _WRITE_ROWS = 1024
 
 
 def _prob_lines(ids, probs):
     """The CSV lines of one model's (N, C) probabilities, row i led by
-    ids[i]. Each distinct value of a chunk of rows is formatted once: a
-    simulated row holds one peak and C - 1 equal off-peak shares."""
+    ids[i], as one string per chunk of rows. Each distinct value of a chunk
+    is formatted once: a simulated row holds one peak and C - 1 equal
+    off-peak shares."""
     for start in range(0, len(ids), _WRITE_ROWS):
         block = probs[start:start + _WRITE_ROWS]
         # Keyed on bit patterns, so -0.0 and 0.0 keep their own text.
         bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
         text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-        cells = text[inverse.ravel()].reshape(block.shape).tolist()
-        for sid, row in zip(ids[start:start + _WRITE_ROWS], cells):
-            yield f"{sid},{','.join(row)}\r\n"
+        cells = np.empty((len(block), block.shape[1] + 1), dtype=object)
+        cells[:, 0] = ids[start:start + _WRITE_ROWS]
+        cells[:, 1:] = text[inverse.ravel()].reshape(block.shape)
+        yield "\r\n".join(map(",".join, cells.tolist())) + "\r\n"
 
 
 def _write_csv(path, header, lines):

@@ -120,7 +120,7 @@ class ScoreColumn(Mapping):
     team: team keys are unique. array holds the scores as a read-only
     float64 array, team_keys the team keys and team_sizes the member
     counts, all in team order; scans over every team read these, and so do
-    len() and iteration. The teams marked in the boolean array flagged
+    len(), iteration and `in`. The teams marked in the boolean array flagged
     carry note. The first key lookup builds the DiversityScore of every
     team in the column at once, with the objects details() returns (the
     SQBreakdowns, for SQ) as their .detail.
@@ -154,6 +154,9 @@ class ScoreColumn(Mapping):
 
     def __getitem__(self, key):
         return self._by_key()[key]
+
+    def __contains__(self, key):
+        return key in self.team_keys
 
     def __iter__(self):
         return iter(self.team_keys)

@@ -58,10 +58,7 @@ class EnsembleTeam:
 
 
 def team_key_for(member_ids, n_models):
-    ids = sorted(int(i) for i in member_ids)
-    if n_models <= 10:
-        return "".join(str(i) for i in ids)
-    return "-".join(str(i) for i in ids)
+    return ("" if n_models <= 10 else "-").join(map(str, sorted(map(int, member_ids))))
 
 
 def make_team(team, n_models):

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from sqdiv.analytics import sweep
 from sqdiv.cli import main
 from sqdiv.pool import correctness, load_pool, write_pool
 from sqdiv.qmetrics import DiversityScore
@@ -88,6 +90,28 @@ def test_evaluate_outputs(sim_pool, tmp_path, capsys):
         assert rows[0] == ["team", "size", "score", "accuracy"]
         assert len(rows) - 1 == 11  # all teams of a 4-model pool
         assert f"{metric} " in stdout
+
+
+@pytest.mark.parametrize("method", ["soft", "majority"])
+@pytest.mark.parametrize("m", [4, 11], ids=["digit-keys", "hyphen-keys"])
+def test_scatter_files_equal_csv_writer_rows(tmp_path, capsys, m, method):
+    manifest = write_pool(random_pool(m, m, 40, 3), tmp_path / "pool")
+    out = tmp_path / "eval"
+    code, _, _ = run(
+        ["evaluate", "--pool", str(manifest), "--consensus", method, "--out", str(out)], capsys
+    )
+    assert code == 0
+    pool = load_pool(manifest)
+    metrics = ["CK", "QS", "BD", "GD", "KW", "SQ"]
+    result = sweep(pool, correctness(pool), metrics, consensus_method=method)
+    assert ("-" in result.team_keys[0]) == (m > 10)
+    for metric in metrics:
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["team", "size", "score", "accuracy"])
+        writer.writerows(result.rows(metric))
+        path = out / f"scatter_{metric.lower()}.csv"
+        assert path.read_bytes() == expected.getvalue().encode("utf-8"), metric
 
 
 def test_evaluate_zero_alpha_weight_equals_epsilon_mean(sim_pool, tmp_path, capsys):

@@ -262,6 +262,67 @@ def test_cells_parse_as_float_does(write_manifest, tmp_path, cell):
         assert outcome(cell) == outcome(repr(value))
 
 
+# Cell text around and inside numbers: characters float() strips as
+# whitespace, four (\x1c-\x1f) that it refuses but np.loadtxt strips, and
+# text float() reads that np.loadtxt refuses ('_' between digits, '١').
+_SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2003"]
+_JUNK = st.lists(st.sampled_from([*"0123456789.eE+-_", *_SPACES, "١", "inf", "nan"]),
+                 max_size=6).map("".join)
+_PAD = st.lists(st.sampled_from(_SPACES), max_size=2).map("".join)
+
+
+@st.composite
+def _cell_pairs(draw):
+    """Two cells of one row: junk, or a probability and its complement
+    written with padding, a '_' after the first decimal or '١' for '1'."""
+    if draw(st.booleans()):
+        return draw(_JUNK), draw(_JUNK)
+    x = draw(st.floats(0, 1))
+    cells = []
+    for text in (repr(x), repr(1 - x)):
+        if draw(st.booleans()):
+            text = re.sub(r"(\.\d)(\d)", r"\1_\2", text, count=1)
+        if draw(st.booleans()):
+            text = text.replace("1", "١")
+        cells.append(draw(_PAD) + text + draw(_PAD))
+    return tuple(cells)
+
+
+_FAR_FAULT = [("0.5", "0.5")] * 1500 + [("0.5", "0.5 5")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(_cell_pairs(), min_size=1, max_size=4))
+@example(rows=[("0.2_5", "0.75")])
+@example(rows=[("0.5\x1c", "0.5")])
+@example(rows=[("١", "0")])
+@example(rows=_FAR_FAULT)
+def test_plain_and_csv_files_read_cells_as_float_does(tmp_path_factory, rows):
+    """A plain model file and the same file with one id quoted, which
+    csv.reader reads, give the same probability bits or the same error."""
+    base = tmp_path_factory.mktemp("cells")
+    ids = [f"s{j}" for j in range(len(rows))]
+    (base / "labels.csv").write_text(
+        "sample_id,true_label\n" + "".join(f"{sid},a\n" for sid in ids), encoding="utf-8")
+    (base / "preds_1.csv").write_text(
+        "sample_id,p_a,p_b\n" + "".join(f"{sid},1.0,0.0\n" for sid in ids), encoding="utf-8")
+    entries = [{"id": i, "predictions_path": f"preds_{i}.csv"} for i in range(2)]
+    manifest = base / "manifest.json"
+    manifest.write_text(json.dumps(
+        {"classes": ["a", "b"], "labels_path": "labels.csv", "models": entries}))
+    body = "".join(f"{sid},{a},{b}\n" for sid, (a, b) in zip(ids, rows))
+
+    def outcome(quoted):
+        text = '"' + body.replace(",", '",', 1) if quoted else body
+        (base / "preds_0.csv").write_text("sample_id,p_a,p_b\n" + text, encoding="utf-8")
+        try:
+            return load_pool(manifest).probs.tobytes()
+        except PoolFormatError as exc:
+            return str(exc)
+
+    assert outcome(False) == outcome(True)
+
+
 def test_scientific_notation_accepted(write_manifest):
     manifest = write_manifest(
         classes=["a", "b"],
@@ -462,9 +523,12 @@ def test_write_pool_matches_row_writer_and_round_trips(tmp_path_factory, pool):
 
 
 # Line ends csv.reader splits records on, characters that other line
-# splitters (str.splitlines) also break at, and the two that send a file to
+# splitters (str.splitlines) also break at, and those that send a file to
 # csv.reader.
-_TOKEN_TEXT = st.text(st.sampled_from(list('a1, \r\n\x0c\x85\u2028\0"')), max_size=40)
+_TOKEN_TEXT = st.text(
+    st.sampled_from(list('a1, \r\n\x0b\x0c\x85\u2028\u2029\0"\x1c\x1d\x1e\x1f')),
+    max_size=40,
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -473,7 +537,7 @@ _TOKEN_TEXT = st.text(st.sampled_from(list('a1, \r\n\x0c\x85\u2028\0"')), max_si
 def test_plain_lines_split_as_csv_reader_does(text, bom):
     text = "\ufeff" * bom + text
     lines = _plain_lines(io.StringIO(text, newline=""))
-    if '"' in text or "\0" in text:
+    if any(c in text for c in '"\0\x1c\x1d\x1e\x1f'):
         assert lines is None
     else:
         rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]

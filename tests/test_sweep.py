@@ -260,6 +260,19 @@ def test_score_teams_rejects_a_repeated_team_key():
     assert team_accuracy_table(pool, [a, b, a]).shape == (3,)
 
 
+def test_column_membership_reads_team_keys():
+    """`key in column` is answered from team_keys and builds no score object."""
+    pool = generate(default_spec(n_models=5, n_samples=60, n_classes=3, seed=2))
+    cm = correctness(pool)
+    teams = list(enumerate_teams(5))
+    for metrics, cfg in _BATCH_PATHS:
+        for column in score_teams(pool, cm, teams, metrics, cfg).values():
+            for key in (teams[3].team_key, "0123456", 12, (0, 1)):
+                assert (key in column) == (key in column.team_keys)
+            assert teams[3].team_key in column and "0123456" not in column
+            assert column._scores is None
+
+
 @pytest.mark.parametrize("cfg", [
     ScoreConfig(), ScoreConfig(alpha_on_labels=False), ScoreConfig(negative_cap=50),
 ], ids=["labels", "correctness", "cap50"])
