@@ -1,13 +1,17 @@
 import csv
 import io
 import json
+import os
 import re
+import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sqdiv.pool as sqpool
 from sqdiv.pool import (
     PoolFormatError,
     _plain_lines,
@@ -105,13 +109,50 @@ def test_missing_files_and_small_manifests(tmp_path, write_manifest):
         load_pool(manifest)
 
 
+@pytest.fixture
+def forked(monkeypatch):
+    """Share model files out among three forked workers however small the
+    pool; yields the pids forked, and checks that none outlives the test."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        pytest.skip("no os.fork or os.sched_getaffinity")
+    monkeypatch.setattr(sqpool, "_SPREAD_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    pids = []
+    fork = os.fork
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_malformed_rows(write_manifest, tmp_path):
+    _check_malformed_rows(write_manifest, tmp_path, spread=False)
+
+
+def test_malformed_rows_in_forked_workers(write_manifest, tmp_path, forked):
+    _check_malformed_rows(write_manifest, tmp_path, spread=True)
+    assert forked
+
+
+def _check_malformed_rows(write_manifest, tmp_path, spread):
     manifest = write_manifest(
         classes=["a", "b"],
         labels=[("s1", "a")],
         model_rows=[{"s1": (1.0, 0.0)}, {"s1": (1.0, 0.0)}],
     )
     bad = tmp_path / "preds_0.csv"
+    if spread:
+        # The faulty file goes to the forked worker, not the parent's share.
+        data = json.loads(manifest.read_text())
+        data["models"].reverse()
+        manifest.write_text(json.dumps(data))
 
     def fault(text, match):
         # A quoted id in a later row sends the file to csv.reader: both
@@ -542,3 +583,128 @@ def test_plain_lines_split_as_csv_reader_does(text, bom):
     else:
         rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
         assert [line.split(",") for line in lines] == rows
+
+
+def _spread_pool(base):
+    """A 5-model pool written inline, one model file's rows reversed, so
+    its rows are joined by sample id, not taken whole; with the `forked`
+    fixture, the parent reads files 0 and 3, the workers 1, 4 and 2."""
+    manifest = write_pool(random_pool(3, n_models=5, n_samples=30, n_classes=4), base)
+    lines = (base / "model_02.csv").read_text().splitlines(keepends=True)
+    (base / "model_02.csv").write_text(lines[0] + "".join(reversed(lines[1:])))
+    return manifest
+
+
+def test_forked_load_and_write_equal_inline(tmp_path, monkeypatch, forked):
+    with monkeypatch.context() as inline:
+        inline.setattr(sqpool, "_SPREAD_BYTES", 1 << 62)
+        manifest = _spread_pool(tmp_path / "inline")
+        expected = load_pool(manifest)
+    assert not forked
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pool = load_pool(manifest)
+        assert len(forked) == 2
+        write_pool(expected, tmp_path / "forked")
+        assert len(forked) == 4
+    assert pool.probs.tobytes() == expected.probs.tobytes()
+    assert pool.sample_ids == expected.sample_ids
+    assert pool.fingerprint() == expected.fingerprint()
+    written = sorted(p.name for p in (tmp_path / "forked").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "inline").iterdir())
+    for name in written:
+        if name != "model_02.csv":
+            assert (tmp_path / "forked" / name).read_bytes() == \
+                (tmp_path / "inline" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("faulty", [(1, 3), (2, 3), (3, 4), (4,)])
+def test_forked_load_raises_the_first_fault_in_file_order(tmp_path, monkeypatch, forked, faulty):
+    manifest = _spread_pool(tmp_path)
+    for position in faulty:
+        path = tmp_path / f"model_{position:02d}.csv"
+        with path.open("a", newline="") as fh:
+            fh.write(f"x{position},oops,0,0,0\r\n")
+
+    def outcome():
+        with pytest.raises(PoolFormatError) as info:
+            load_pool(manifest)
+        return str(info.value)
+
+    message = outcome()
+    assert forked
+    with monkeypatch.context() as inline:
+        inline.setattr(sqpool, "_SPREAD_BYTES", 1 << 62)
+        assert message == outcome()
+    assert message.startswith(f"{tmp_path / f'model_{faulty[0]:02d}.csv'}, line 32: ")
+    assert "cannot parse 'oops'" in message
+
+
+def test_worker_that_dies_costs_only_time(tmp_path, monkeypatch, forked):
+    manifest = _spread_pool(tmp_path / "pool")
+    expected = load_pool(manifest)
+    parent = os.getpid()
+    read, write = sqpool._read_predictions, sqpool._write_csv
+
+    def dying_read(path, classes, model):
+        if os.getpid() != parent and path.name == "model_04.csv":
+            os._exit(0)  # worker 1, after it has read model_01.csv
+        return read(path, classes, model)
+
+    def dying_write(path, header, lines):
+        if os.getpid() != parent and path.name == "model_04.csv":
+            path.write_text("partial")
+            os._exit(1)
+        return write(path, header, lines)
+
+    monkeypatch.setattr(sqpool, "_read_predictions", dying_read)
+    monkeypatch.setattr(sqpool, "_write_csv", dying_write)
+    forked.clear()
+    pool = load_pool(manifest)
+    write_pool(expected, tmp_path / "again")
+    assert len(forked) == 4
+    assert pool.probs.tobytes() == expected.probs.tobytes()
+    for name in ("model_01.csv", "model_04.csv"):
+        assert (tmp_path / "again" / name).read_bytes() == \
+            (tmp_path / "pool" / name).read_bytes(), name
+
+    dump = sqpool.pickle.dump
+
+    def cut_dump(obj, file, protocol):
+        if os.getpid() == parent:
+            return dump(obj, file, protocol)
+        data = sqpool.pickle.dumps(obj, protocol)
+        file.write(data[:len(data) // 2])
+        file.flush()
+        os._exit(1)  # killed halfway through sending its results
+
+    monkeypatch.setattr(sqpool, "_read_predictions", read)
+    monkeypatch.setattr(sqpool.pickle, "dump", cut_dump)
+    forked.clear()
+    assert load_pool(manifest).probs.tobytes() == expected.probs.tobytes()
+    assert len(forked) == 2
+
+
+def test_no_fork_beside_another_thread_or_without_a_process(tmp_path, monkeypatch, forked):
+    manifest = _spread_pool(tmp_path)
+    expected = load_pool(manifest).fingerprint()
+    calls = []
+
+    def refused_fork():
+        calls.append(1)
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", refused_fork)
+    assert load_pool(manifest).fingerprint() == expected
+    assert len(calls) == 1
+    calls.clear()
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        assert load_pool(manifest).fingerprint() == expected
+    finally:
+        release.set()
+        other.join(timeout=30)
+    assert not other.is_alive()
+    assert not calls
