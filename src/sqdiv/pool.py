@@ -27,6 +27,20 @@ thread runs, load_pool and write_pool share them out among forked worker
 processes, one per CPU the process may use; the values read, the bytes
 written and the first error raised are those of the serial loop.
 
+Beside each manifest, .sqdiv-cache/ holds at most one entry per manifest
+file name: the pool's (M, N, C) probability tensor as an .npy file, saved
+by write_pool and by a load_pool that had to parse the model files. Its
+key is a sha256 over the bytes of the manifest, the labels file and every
+model file in manifest order, this module's source, numpy's version,
+Python's major.minor and the csv field limit in force; the entry is named
+by the sha256 of that key and the tensor's bytes. load_pool takes the
+tensor from an entry only while that name still matches, so an entry is
+never used after any input byte or the reader's source changes, and a
+damaged one is ignored and written again. The labels file is parsed and
+PredictionPool's checks run on every load, hit or miss. Entries are
+written best-effort (a temporary file, then os.replace; an OSError leaves
+the load as it is) and the directory is safe to delete.
+
 Pools and correctness matrices are immutable after construction.
 """
 
@@ -34,15 +48,18 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 import os
 import pickle
 import re
+import sys
+import tempfile
 import threading
 import warnings
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +139,8 @@ class PredictionPool:
             raise PoolFormatError("model ids must be 0..M-1 in order")
         if self.truth.min() < 0 or self.truth.max() >= c:
             raise PoolFormatError("truth entry is not a valid class index")
+        # load_pool has checked each model file's rows already, but a tensor
+        # taken from its cache was checked by no parse: this is its check.
         bad = _first_bad_row(self.probs)
         if bad is not None:
             row, problem = bad
@@ -480,13 +499,17 @@ def _read_manifest(path):
 
 
 # Model files totalling fewer bytes than this are read or written by the
-# calling process alone; write_pool counts the probabilities' in-memory
-# bytes, about 40% of their text. Measured in fresh processes on a 2-vCPU
-# host (2 workers, `simulate` pools at M=10, C=15, 21 alternating runs): a
-# forked load_pool took 1.05x the serial time at 0.63 MB of files, 0.97x
-# at 0.79 MB, 0.85x at 0.94 MB, 0.87x at 1.10 MB and 0.75x at 1.57 MB; a
-# forked write_pool 1.10x at 0.30 MB of probabilities and 0.86x at 0.60 MB.
+# calling process alone; write_pool estimates its text at _CELL_TEXT_BYTES
+# a probability. Measured in fresh processes on a 2-vCPU host (2 workers,
+# `simulate` pools at M=10, C=15, 21 alternating runs): a forked load_pool
+# took 1.05x the serial time at 0.63 MB of files, 0.97x at 0.79 MB, 0.85x
+# at 0.94 MB, 0.87x at 1.10 MB and 0.75x at 1.57 MB; a forked write_pool
+# 1.10x at 0.30 MB of probabilities (0.75 MB of text) and 0.86x at 0.60 MB
+# (1.5 MB of text).
 _SPREAD_BYTES = 1 << 20
+# Bytes of model-file text per probability of a `simulate` pool: a
+# 17-digit repr and its comma, plus the row's share of its id.
+_CELL_TEXT_BYTES = 20
 # An item of _spread with no result yet.
 _PENDING = object()
 
@@ -583,21 +606,155 @@ def _collect(pid, fd, results, w, workers):
         results[w:w + workers * len(done):workers] = done
 
 
+# The directory beside a manifest that holds its cache entry, and the bytes
+# read at a time to hash a file.
+_CACHE_DIR = ".sqdiv-cache"
+_HASH_BLOCK = 1 << 20
+
+
+@functools.cache
+def _cache_tag():
+    """What, besides its input files, decides the tensor load_pool builds:
+    this module's source, numpy's version and Python's major.minor."""
+    source = Path(__file__).read_bytes()
+    versions = f"numpy {np.__version__} python {sys.version_info[0]}.{sys.version_info[1]}"
+    return hashlib.sha256(source).digest() + versions.encode("utf-8")
+
+
+def _file_digest(path):
+    """sha256 of the file at `path`, read a block at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(_HASH_BLOCK), b""):
+            digest.update(block)
+    return digest.digest()
+
+
+def _pool_key(digests):
+    """The cache key of a pool whose manifest, labels file and model files,
+    in manifest order, have the sha256 `digests`."""
+    key = hashlib.sha256(_cache_tag())
+    # A line longer than the csv field limit may fail a load, so the limit
+    # in force decides the outcome too.
+    key.update(b"%d" % csv.field_size_limit())
+    for digest in digests:
+        key.update(digest)
+    return key.digest()
+
+
+def _entry_name(manifest, key, probs):
+    """The file name of the cache entry for `key` holding `probs`: one
+    digest checks both that the entry is for these input bytes and that
+    its payload is intact."""
+    digest = hashlib.sha256(key)
+    digest.update(np.ascontiguousarray(probs))
+    return f"{manifest.name}.{digest.hexdigest()}.npy"
+
+
+def _entries(manifest):
+    """The cache entries beside `manifest` for its file name."""
+    named = re.compile(re.escape(manifest.name) + r"\.[0-9a-f]{64}\.npy").fullmatch
+    try:
+        return sorted(p for p in (manifest.parent / _CACHE_DIR).iterdir() if named(p.name))
+    except OSError:
+        return []
+
+
+def _cached_probs(manifest, key, shape):
+    """The float64 tensor of `shape` from the cache entry beside `manifest`
+    whose name is its digest under `key`; None if there is none."""
+    for entry in _entries(manifest):
+        try:
+            with entry.open("rb") as fh:
+                probs = np.load(fh, allow_pickle=False)
+        # MemoryError: a damaged header can claim an array of any size.
+        except (OSError, ValueError, EOFError, MemoryError):
+            continue
+        if (isinstance(probs, np.ndarray) and probs.dtype == np.float64
+                and probs.shape == shape and entry.name == _entry_name(manifest, key, probs)):
+            return probs
+    return None
+
+
+def _store(manifest, key, probs):
+    """Save `probs` as the cache entry beside `manifest` for `key`, through
+    a temporary file and os.replace, then remove that manifest's other
+    entries. Raises OSError when the cache cannot be written; it then holds
+    no partial entry."""
+    probs = np.ascontiguousarray(probs)
+    cache = manifest.parent / _CACHE_DIR
+    entry = cache / _entry_name(manifest, key, probs)
+    cache.mkdir(exist_ok=True)
+    fd, temp = tempfile.mkstemp(suffix=".tmp", dir=cache)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, probs, allow_pickle=False)
+        os.replace(temp, entry)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
+    for old in _entries(manifest):
+        if old != entry:
+            old.unlink()
+
+
+def _read_key(files):
+    """The cache key of the pool whose files, manifest first, are `files`;
+    None if one of them cannot be read."""
+    try:
+        return _pool_key(map(_file_digest, files))
+    except OSError:
+        return None
+
+
 def load_pool(manifest_path):
     """Load, join, and validate a pool from its manifest.
 
     Samples are matched across model files by sample_id; the labels file
     order becomes the pool's sample order. Any coverage gap between a model
-    file and the labels file is a hard error.
+    file and the labels file is a hard error. The model files are parsed
+    only when the cache beside the manifest holds no entry for the bytes of
+    every input file (see the module docstring).
     """
     manifest_path = Path(manifest_path)
     classes, labels_path, entries = _read_manifest(manifest_path)
     base = manifest_path.parent
-    index, truth = _read_labels(base / labels_path, classes)
-    sample_ids = list(index)
     names = [str(entry.get("name", f"model-{position}"))
              for position, entry in enumerate(entries)]
     paths = [base / entry["predictions_path"] for entry in entries]
+    files = [manifest_path, base / labels_path, *paths]
+    # Hashed before any file is parsed: if the key still matches after the
+    # parse, the entry stored holds what these bytes parse to.
+    key = _read_key(files)
+    index, truth = _read_labels(base / labels_path, classes)
+    shape = (len(entries), len(index), len(classes))
+    probs = None if key is None else _cached_probs(manifest_path, key, shape)
+    parsed = probs is None
+    if parsed:
+        probs = _read_models(paths, names, classes, index)
+    models = [
+        ModelRecord(model_id=position, name=name, predictions_path=entry["predictions_path"])
+        for position, (name, entry) in enumerate(zip(names, entries))
+    ]
+
+    pool = PredictionPool(
+        models=tuple(models),
+        classes=tuple(classes),
+        sample_ids=tuple(index),
+        truth=truth,
+        probs=probs,
+    )
+    if parsed and key is not None and _read_key(files) == key:
+        with contextlib.suppress(OSError):  # the cache is best-effort
+            _store(manifest_path, key, pool.probs)
+    return pool
+
+
+def _read_models(paths, names, classes, index):
+    """The (M, N, C) tensor of the model files at `paths`, their rows placed
+    by `index`, {sample_id: position}."""
+    sample_ids = list(index)
 
     def read(position):
         """Model file `position`'s block, and the pool row of each of its
@@ -618,24 +775,13 @@ def load_pool(manifest_path):
         return block, rows
 
     nbytes = sum(path.stat().st_size for path in paths if path.is_file())
-    probs = np.empty((len(entries), len(index), len(classes)), dtype=np.float64)
-    for position, (block, rows) in enumerate(_spread(read, range(len(entries)), nbytes)):
+    probs = np.empty((len(paths), len(index), len(classes)), dtype=np.float64)
+    for position, (block, rows) in enumerate(_spread(read, range(len(paths)), nbytes)):
         if rows is None:
             probs[position] = block
         else:
             probs[position, rows] = block
-    models = [
-        ModelRecord(model_id=position, name=name, predictions_path=entry["predictions_path"])
-        for position, (name, entry) in enumerate(zip(names, entries))
-    ]
-
-    return PredictionPool(
-        models=tuple(models),
-        classes=tuple(classes),
-        sample_ids=tuple(index),
-        truth=truth,
-        probs=probs,
-    )
+    return probs
 
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search
@@ -659,11 +805,11 @@ def write_pool(pool, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     ids = [_csv_field(sid) for sid in pool.sample_ids]
     classes = [_csv_field(c) for c in pool.classes]
-    _write_csv(
+    digests = [_write_csv(
         out / "labels.csv",
         "sample_id,true_label",
         (f"{sid},{classes[t]}\r\n" for sid, t in zip(ids, pool.truth.tolist())),
-    )
+    )]
 
     header = ",".join(["sample_id"] + [_csv_field(f"p_{c}") for c in pool.classes])
     entries = [
@@ -674,9 +820,9 @@ def write_pool(pool, out_dir):
 
     def write(entry):
         probs = pool.probs[entry["id"]]
-        _write_csv(out / entry["predictions_path"], header, _prob_lines(ids, probs))
+        return _write_csv(out / entry["predictions_path"], header, _prob_lines(ids, probs))
 
-    _spread(write, entries, pool.probs.nbytes)
+    digests += _spread(write, entries, _CELL_TEXT_BYTES * pool.probs.size)
 
     manifest = {
         "classes": list(pool.classes),
@@ -684,9 +830,13 @@ def write_pool(pool, out_dir):
         "models": entries,
     }
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    manifest_path.write_bytes(text)
+    # Keyed on the bytes written here, so files changed since by anyone
+    # else are not served from this entry.
+    with contextlib.suppress(OSError):  # the cache is best-effort
+        _store(manifest_path, _pool_key([hashlib.sha256(text).digest(), *digests]),
+               pool.probs)
     return manifest_path
 
 
@@ -712,10 +862,16 @@ def _prob_lines(ids, probs):
 
 
 def _write_csv(path, header, lines):
+    """Write a CSV file of `header` and the text chunks `lines`, each
+    encoded once as it is written; returns the sha256 of its bytes."""
     # Lines are formatted as they are written, a chunk of rows at a time,
     # so neither a whole file nor a model's probabilities as Python floats
     # are ever held: either one raises the peak RSS of `simulate` at M=10,
     # N=5000 by 4 to 6 MB.
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(header + "\r\n")
-        fh.writelines(lines)
+    digest = hashlib.sha256()
+    with path.open("wb") as fh:
+        for text in chain([header + "\r\n"], lines):
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    return digest.digest()

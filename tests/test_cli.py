@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -47,8 +48,10 @@ def test_simulate_writes_expected_files(tmp_path, capsys):
     )
     assert code == 0
     files = sorted(p.name for p in out.iterdir())
-    assert files == ["labels.csv", "manifest.json", "model_00.csv", "model_01.csv",
-                     "model_02.csv", "model_03.csv"]
+    assert files == [".sqdiv-cache", "labels.csv", "manifest.json", "model_00.csv",
+                     "model_01.csv", "model_02.csv", "model_03.csv"]
+    [entry] = (out / ".sqdiv-cache").iterdir()
+    assert re.fullmatch(r"manifest\.json\.[0-9a-f]{64}\.npy", entry.name)
     assert "pool fingerprint" in stdout
     assert "planted team" in stdout
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shutil
 import threading
 import warnings
 
@@ -132,27 +133,61 @@ def forked(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def _load(manifest):
+    """load_pool(manifest), and whether it parsed the model files."""
+    calls = []
+    read = sqpool._read_models
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sqpool, "_read_models", lambda *args: calls.append(1) or read(*args))
+        pool = load_pool(manifest)
+    return pool, bool(calls)
+
+
+def _cache_files(manifest):
+    """Names of the files in the cache directory beside `manifest`."""
+    cache = manifest.parent / ".sqdiv-cache"
+    return sorted(p.name for p in cache.iterdir()) if cache.is_dir() else []
+
+
+def _drop_cache(manifest):
+    shutil.rmtree(manifest.parent / ".sqdiv-cache")
+
+
+def _assert_same_pool(pool, expected):
+    assert pool.probs.tobytes() == expected.probs.tobytes()
+    assert pool.sample_ids == expected.sample_ids
+    assert pool.truth.tolist() == expected.truth.tolist()
+    assert pool.fingerprint() == expected.fingerprint()
+
+
 def test_malformed_rows(write_manifest, tmp_path):
-    _check_malformed_rows(write_manifest, tmp_path, spread=False)
+    _check_malformed_rows(write_manifest, tmp_path, forked=None)
 
 
 def test_malformed_rows_in_forked_workers(write_manifest, tmp_path, forked):
-    _check_malformed_rows(write_manifest, tmp_path, spread=True)
+    _check_malformed_rows(write_manifest, tmp_path, forked)
     assert forked
 
 
-def _check_malformed_rows(write_manifest, tmp_path, spread):
+def _check_malformed_rows(write_manifest, tmp_path, forked):
     manifest = write_manifest(
         classes=["a", "b"],
         labels=[("s1", "a")],
         model_rows=[{"s1": (1.0, 0.0)}, {"s1": (1.0, 0.0)}],
     )
     bad = tmp_path / "preds_0.csv"
-    if spread:
+    if forked is not None:
         # The faulty file goes to the forked worker, not the parent's share.
         data = json.loads(manifest.read_text())
         data["models"].reverse()
         manifest.write_text(json.dumps(data))
+    # Every case runs beside a cache entry for the unmodified files, which
+    # no load that fails replaces.
+    load_pool(manifest)
+    warm = _cache_files(manifest)
+    assert len(warm) == 1
+    if forked is not None:
+        forked.clear()
 
     def fault(text, match):
         # A quoted id in a later row sends the file to csv.reader: both
@@ -221,6 +256,7 @@ def _check_malformed_rows(write_manifest, tmp_path, spread):
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith(f"{labels}, line {line}: ")
+    assert _cache_files(manifest) == warm
 
 
 def _edit(name, old, new):
@@ -550,7 +586,16 @@ def _awkward_pools(draw):
 def test_write_pool_matches_row_writer_and_round_trips(tmp_path_factory, pool):
     out = tmp_path_factory.mktemp("pool")
     expected = tmp_path_factory.mktemp("reference")
-    again = load_pool(write_pool(pool, out))
+    manifest = write_pool(pool, out)
+    written = sorted(p.name for p in out.iterdir())
+    # write_pool seeds the cache: the first load parses nothing, and equals
+    # a load that parses the files.
+    hit, parsed = _load(manifest)
+    assert not parsed
+    _drop_cache(manifest)
+    again, parsed = _load(manifest)
+    assert parsed
+    _assert_same_pool(hit, again)
     assert again.fingerprint() == pool.fingerprint()
     assert again.classes == pool.classes
     assert again.sample_ids == pool.sample_ids
@@ -558,7 +603,7 @@ def test_write_pool_matches_row_writer_and_round_trips(tmp_path_factory, pool):
 
     ref.write_pool_csv(pool, expected)
     names = sorted(p.name for p in expected.iterdir())
-    assert sorted(p.name for p in out.iterdir()) == names
+    assert written == [".sqdiv-cache", *names]
     for name in names:
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
@@ -601,6 +646,7 @@ def test_forked_load_and_write_equal_inline(tmp_path, monkeypatch, forked):
         manifest = _spread_pool(tmp_path / "inline")
         expected = load_pool(manifest)
     assert not forked
+    _drop_cache(manifest)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pool = load_pool(manifest)
@@ -612,7 +658,8 @@ def test_forked_load_and_write_equal_inline(tmp_path, monkeypatch, forked):
     assert pool.fingerprint() == expected.fingerprint()
     written = sorted(p.name for p in (tmp_path / "forked").iterdir())
     assert written == sorted(p.name for p in (tmp_path / "inline").iterdir())
-    for name in written:
+    assert written[0] == ".sqdiv-cache"
+    for name in written[1:]:
         if name != "model_02.csv":
             assert (tmp_path / "forked" / name).read_bytes() == \
                 (tmp_path / "inline" / name).read_bytes(), name
@@ -660,6 +707,7 @@ def test_worker_that_dies_costs_only_time(tmp_path, monkeypatch, forked):
     monkeypatch.setattr(sqpool, "_read_predictions", dying_read)
     monkeypatch.setattr(sqpool, "_write_csv", dying_write)
     forked.clear()
+    _drop_cache(manifest)
     pool = load_pool(manifest)
     write_pool(expected, tmp_path / "again")
     assert len(forked) == 4
@@ -681,6 +729,7 @@ def test_worker_that_dies_costs_only_time(tmp_path, monkeypatch, forked):
     monkeypatch.setattr(sqpool, "_read_predictions", read)
     monkeypatch.setattr(sqpool.pickle, "dump", cut_dump)
     forked.clear()
+    _drop_cache(manifest)
     assert load_pool(manifest).probs.tobytes() == expected.probs.tobytes()
     assert len(forked) == 2
 
@@ -695,9 +744,11 @@ def test_no_fork_beside_another_thread_or_without_a_process(tmp_path, monkeypatc
         raise OSError("no process to spare")
 
     monkeypatch.setattr(os, "fork", refused_fork)
+    _drop_cache(manifest)
     assert load_pool(manifest).fingerprint() == expected
     assert len(calls) == 1
     calls.clear()
+    _drop_cache(manifest)
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(30,))
     other.start()
@@ -708,3 +759,185 @@ def test_no_fork_beside_another_thread_or_without_a_process(tmp_path, monkeypatc
         other.join(timeout=30)
     assert not other.is_alive()
     assert not calls
+
+
+def _quote_ids(fname, text):
+    lines = text.splitlines(keepends=True)
+    return lines[0] + "".join(re.sub(r"^([^,]*),", r'"\1",', line) for line in lines[1:])
+
+
+# Hand-written pools that take each path of the parse a cache hit must
+# reproduce; None leaves the files as written.
+CACHED_VARIANTS = {
+    "rows reordered": None,
+    "quoted ids": _quote_ids,
+    "utf-8 bom": INPUT_VARIANTS["utf-8 bom"][0],
+    "crlf": INPUT_VARIANTS["crlf"][0],
+    "drifting rows": None,
+}
+
+
+@pytest.mark.parametrize("variant", list(CACHED_VARIANTS))
+def test_cache_hit_equals_a_cold_load(write_manifest, tmp_path, variant):
+    labels = [("s1", "a"), ("s2", "b"), ("s3", "c")]
+    rows = [{"s1": (0.7, 0.2, 0.1), "s2": (0.1, 0.8, 0.1), "s3": (0.3, 0.3, 0.4)},
+            {"s1": (0.5, 0.25, 0.25), "s2": (0.2, 0.2, 0.6), "s3": (0.0, 0.1, 0.9)}]
+    if variant == "rows reordered":
+        rows[1] = dict(reversed(rows[1].items()))
+    if variant == "drifting rows":
+        rows[0]["s2"] = (0.1, 0.8 + 4e-7, 0.1)
+    manifest = write_manifest(classes=["a", "b", "c"], labels=labels, model_rows=rows)
+    edit = CACHED_VARIANTS[variant]
+    if edit is not None:
+        for path in tmp_path.glob("*.csv"):
+            path.write_bytes(edit(path.name, path.read_text(encoding="utf-8")).encode("utf-8"))
+
+    first, parsed = _load(manifest)
+    assert parsed
+    hit, parsed = _load(manifest)
+    assert not parsed
+    _drop_cache(manifest)
+    cold, parsed = _load(manifest)
+    assert parsed
+    _assert_same_pool(first, cold)
+    _assert_same_pool(hit, cold)
+    if variant == "drifting rows":
+        assert hit.probs[0, 1].tolist() == (np.array(rows[0]["s2"]) / (1 + 4e-7)).tolist()
+
+
+def test_cache_never_serves_changed_input(write_manifest, tmp_path, monkeypatch):
+    """Each change to an input byte, the reader's source or the csv field
+    limit misses the entry of the pool before it, and the load equals one
+    with no cache."""
+    manifest = write_manifest(
+        classes=["a", "b"],
+        labels=[("s1", "a"), ("s2", "b")],
+        model_rows=[{"s1": (0.9, 0.1), "s2": (0.3, 0.7)}, {"s1": (0.6, 0.4), "s2": (0.2, 0.8)}],
+    )
+    preds, labels = tmp_path / "preds_0.csv", tmp_path / "labels.csv"
+
+    def reversed_models():
+        data = json.loads(manifest.read_text())
+        data["models"].reverse()
+        manifest.write_text(json.dumps(data))
+
+    changes = [
+        lambda: preds.write_text(preds.read_text().replace("0.9,0.1", "0.8,0.2")),
+        lambda: labels.write_text(labels.read_text().replace("s2,b", "s2,a")),
+        reversed_models,
+        lambda: monkeypatch.setattr(sqpool, "_cache_tag", lambda: b"another reader"),
+        lambda: monkeypatch.setattr(csv, "field_size_limit", lambda: 1 << 20),
+    ]
+    for change in changes:
+        load_pool(manifest)
+        change()
+        pool, parsed = _load(manifest)
+        assert parsed
+        _drop_cache(manifest)
+        _assert_same_pool(pool, load_pool(manifest))
+    assert pool.probs[1, 0].tolist() == [0.8, 0.2]
+
+
+def _damaged_entries(probs):
+    """Each damaged form of an entry holding `probs`, as file bytes."""
+
+    def saved(array, save=np.save, **kwargs):
+        buffer = io.BytesIO()
+        save(buffer, array, **kwargs)
+        return buffer.getvalue()
+
+    good = saved(probs)
+    changed = probs.copy()
+    changed[0, 0, 0] = np.nextafter(changed[0, 0, 0], 1.0)
+    huge = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        huge, {"descr": "<f8", "fortran_order": False, "shape": (1 << 40, 2, 2)})
+    return {
+        "truncated": good[:len(good) - 8],
+        "not .npy": b"probabilities\n",
+        "npz archive": saved(probs, save=np.savez),
+        "pickled": saved(probs.astype(object), allow_pickle=True),
+        "float32": saved(probs.astype(np.float32)),
+        "shape": saved(probs.reshape(probs.shape[0], -1)),
+        "huge shape": huge.getvalue() + probs.tobytes(),
+        "digest": saved(changed),
+    }
+
+
+def test_damaged_entry_is_ignored_and_rewritten(tmp_path):
+    manifest = write_pool(random_pool(5, n_models=3, n_samples=4, n_classes=2), tmp_path)
+    [name] = _cache_files(manifest)
+    entry = tmp_path / ".sqdiv-cache" / name
+    good = entry.read_bytes()
+    expected = load_pool(manifest)
+    for damage, data in _damaged_entries(expected.probs).items():
+        entry.write_bytes(data)
+        pool, parsed = _load(manifest)
+        assert parsed, damage
+        _assert_same_pool(pool, expected)
+        assert _cache_files(manifest) == [name], damage
+        assert entry.read_bytes() == good, damage
+
+
+def test_failed_store_leaves_the_load_correct_and_writes_nothing(tmp_path, monkeypatch):
+    pool = random_pool(6, n_models=3, n_samples=5, n_classes=3)
+    manifest = write_pool(pool, tmp_path)
+    _drop_cache(manifest)
+    save = np.save
+
+    def full_disk(file, array, allow_pickle):
+        save(file, array[:1], allow_pickle=allow_pickle)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(np, "save", full_disk)
+    loaded, parsed = _load(manifest)
+    assert parsed
+    _assert_same_pool(loaded, pool)
+    assert _cache_files(manifest) == []
+    assert write_pool(pool, tmp_path / "again") == tmp_path / "again" / "manifest.json"
+    assert _cache_files(tmp_path / "again" / "manifest.json") == []
+    for name in ("labels.csv", "manifest.json", "model_00.csv"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_new_entry_replaces_only_its_manifests_older_ones(tmp_path):
+    manifest = write_pool(random_pool(8, n_models=2, n_samples=3, n_classes=2), tmp_path)
+    other = tmp_path / "other.json"
+    shutil.copyfile(manifest, other)
+    load_pool(other)
+    [old, kept] = _cache_files(manifest)
+    assert kept.startswith("other.json.")
+    model = tmp_path / "model_00.csv"
+    lines = model.read_text().splitlines(keepends=True)
+    model.write_text(lines[0] + "".join(reversed(lines[1:])))
+    _, parsed = _load(manifest)
+    assert parsed
+    [new, still] = _cache_files(manifest)
+    assert new.startswith("manifest.json.") and new != old
+    assert still == kept
+
+
+def test_file_changed_during_the_load_is_not_stored(write_manifest, tmp_path, monkeypatch):
+    """A model file edited after the key is hashed, and before it is parsed,
+    leaves no entry; once the edit is undone, nothing stale is served."""
+    manifest = write_manifest(
+        classes=["a", "b"],
+        labels=[("s1", "a")],
+        model_rows=[{"s1": (0.9, 0.1)}, {"s1": (0.6, 0.4)}],
+    )
+    preds = tmp_path / "preds_0.csv"
+    original = preds.read_bytes()
+    read_labels = sqpool._read_labels
+
+    def edited_meanwhile(*args):
+        preds.write_bytes(original.replace(b"0.9,0.1", b"0.8,0.2"))
+        return read_labels(*args)
+
+    monkeypatch.setattr(sqpool, "_read_labels", edited_meanwhile)
+    assert load_pool(manifest).probs[0, 0].tolist() == [0.8, 0.2]
+    assert _cache_files(manifest) == []
+    monkeypatch.undo()
+    preds.write_bytes(original)
+    pool, parsed = _load(manifest)
+    assert parsed
+    assert pool.probs[0, 0].tolist() == [0.9, 0.1]
