@@ -33,13 +33,16 @@ by write_pool and by a load_pool that had to parse the model files. Its
 key is a sha256 over the bytes of the manifest, the labels file and every
 model file in manifest order, this module's source, numpy's version,
 Python's major.minor and the csv field limit in force; the entry is named
-by the sha256 of that key and the tensor's bytes. load_pool takes the
-tensor from an entry only while that name still matches, so an entry is
-never used after any input byte or the reader's source changes, and a
-damaged one is ignored and written again. The labels file is parsed and
-PredictionPool's checks run on every load, hit or miss. Entries are
-written best-effort (a temporary file, then os.replace; an OSError leaves
-the load as it is) and the directory is safe to delete.
+by that key and the sha256 of the tensor's bytes. Each file's digest is
+taken from the very bytes that are parsed, and a model file is hashed
+apart from its parse only when the manifest has an entry to look up, so
+an entry is never used after any input byte or the reader's source
+changes, and a damaged one is ignored and written again. The manifest and
+the labels file are parsed and PredictionPool's checks run on every load,
+hit or miss. Entries are written best-effort (a temporary file, then
+os.replace; an OSError leaves the load as it is; a store removes the
+manifest's older entries and any temporary file a killed store left) and
+the directory is safe to delete.
 
 Pools and correctness matrices are immutable after construction.
 """
@@ -50,6 +53,7 @@ import contextlib
 import csv
 import functools
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -290,13 +294,11 @@ _CSV_ONLY = '"\0\x1c\x1d\x1e\x1f'
 _OTHER_BREAKS = "\x0b\x0c\x85\u2028\u2029"
 
 
-def _plain_lines(fh):
-    """The non-blank lines of text file `fh`, opened with newline="", their
-    line ends stripped; None if the text holds a character of _CSV_ONLY or
-    a line longer than the csv field limit. Whenever it is not None,
-    csv.reader's rows of the same text are exactly these lines split on
-    ','."""
-    text = fh.read()
+def _plain_lines(text):
+    """The non-blank lines of `text`, their line ends stripped; None if the
+    text holds a character of _CSV_ONLY or a line longer than the csv field
+    limit. Whenever it is not None, csv.reader's rows of the same text, read
+    with newline="", are exactly these lines split on ','."""
     if any(c in text for c in _CSV_ONLY):
         return None
     if any(c in text for c in _OTHER_BREAKS):
@@ -309,30 +311,37 @@ def _plain_lines(fh):
     return lines
 
 
-def _read_rows(path, context):
-    """Header fields and data rows of a CSV file, and whether each row is
-    its line. A UTF-8 byte order mark is dropped and blank lines are
-    skipped; fields are kept verbatim. A row is its line, with fields
-    line.split(","), when _plain_lines reads the file, and csv.reader's
-    list of fields otherwise."""
+def _read_text(path, context):
+    """The text of the UTF-8 file at `path`, a byte order mark dropped and
+    line ends kept, and the sha256 of the bytes it was decoded from."""
     path = Path(path)
     if not path.is_file():
         raise PoolFormatError(f"{context} file not found: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8-sig"), hashlib.sha256(data).digest()
+    except UnicodeDecodeError:
+        raise PoolFormatError(f"{context} file is not UTF-8 text: {path}") from None
+
+
+def _read_rows(path, context):
+    """Header fields and data rows of a CSV file, whether each row is its
+    line, and the sha256 of the bytes they were read from. A UTF-8 byte
+    order mark is dropped and blank lines are skipped; fields are kept
+    verbatim. A row is its line, with fields line.split(","), when
+    _plain_lines reads the file, and csv.reader's list of fields otherwise."""
+    text, digest = _read_text(path, context)
+    rows = _plain_lines(text)
+    plain = rows is not None
+    if not plain:
+        reader = csv.reader(io.StringIO(text, newline=""))
         try:
-            rows = _plain_lines(fh)
-            plain = rows is not None
-            if not plain:
-                fh.seek(0)
-                reader = csv.reader(fh)
-                rows = [row for row in reader if row]
+            rows = [row for row in reader if row]
         except csv.Error as exc:
             raise PoolFormatError(f"{path}, line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
-            raise PoolFormatError(f"{context} file is not UTF-8 text: {path}") from None
     if not rows:
         raise PoolFormatError(f"{context} file is empty: {path}")
-    return (rows[0].split(",") if plain else rows[0]), rows[1:], plain
+    return (rows[0].split(",") if plain else rows[0]), rows[1:], plain, digest
 
 
 def _first_misfit(widths, width):
@@ -344,8 +353,9 @@ def _first_misfit(widths, width):
 
 
 def _read_labels(path, classes):
-    """The labels file as ({sample_id: position}, truth class indices)."""
-    header, rows, plain = _read_rows(path, "labels")
+    """The labels file as ({sample_id: position}, truth class indices, the
+    sha256 of its bytes)."""
+    header, rows, plain, digest = _read_rows(path, "labels")
     if plain:
         rows = [line.split(",") for line in rows]
     if [h.strip() for h in header] != ["sample_id", "true_label"]:
@@ -367,7 +377,7 @@ def _read_labels(path, classes):
         raise _fault(
             path, i, f"unknown class label {rows[i][1]!r} for sample {ids[i]!r}"
         )
-    return index, np.array(truth, dtype=np.int64)
+    return index, np.array(truth, dtype=np.int64), digest
 
 
 # Rows parsed per np.array call of the cell-by-cell parse, which bounds the
@@ -408,13 +418,14 @@ def _parse_cells(path, rows, plain, n_classes, model):
 
 
 def _read_predictions(path, classes, model):
-    """One model's file as (sample ids, (N, C) float64 probability block).
+    """One model's file as (sample ids, (N, C) float64 probability block,
+    the sha256 of its bytes).
 
     Checks run over the whole file in this order: row width, duplicate
     ids, number parsing, entries in range, row sums. The first fault found
     is reported with the file, the line and the model.
     """
-    header, rows, plain = _read_rows(path, "predictions")
+    header, rows, plain, digest = _read_rows(path, "predictions")
     expected = ["sample_id"] + [f"p_{c}" for c in classes]
     # Header fields match with edge whitespace stripped on both sides, so a
     # padded header is accepted as in the labels file, and a class name
@@ -452,15 +463,20 @@ def _read_predictions(path, classes, model):
     if bad is not None:
         i, problem = bad
         raise _fault(path, i, f"{problem} for model {model!r}, sample {ids[i]!r}")
-    return ids, block
+    return ids, block, digest
 
 
 def _read_manifest(path):
-    """The manifest's (classes, labels path, model entries), shape-checked."""
+    """The manifest's (classes, labels path, model entries), shape-checked,
+    and the sha256 of the bytes they were read from."""
     if not path.is_file():
         raise PoolFormatError(f"manifest not found: {path}")
+    data = path.read_bytes()
+    # Line ends are translated as Path.read_text translates them, so a
+    # JSON error names the same line, column and character.
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PoolFormatError(f"manifest is not valid JSON: {path}: {exc}") from None
     if not isinstance(manifest, dict):
@@ -495,7 +511,7 @@ def _read_manifest(path):
     declared = [e.get("id") for e in entries]
     if len(set(declared)) != len(declared):
         raise PoolFormatError(f"duplicate model ids in manifest: {path}")
-    return classes, labels_path, entries
+    return classes, labels_path, entries, hashlib.sha256(data).digest()
 
 
 # Model files totalling fewer bytes than this are read or written by the
@@ -642,28 +658,44 @@ def _pool_key(digests):
     return key.digest()
 
 
-def _entry_name(manifest, key, probs):
-    """The file name of the cache entry for `key` holding `probs`: one
-    digest checks both that the entry is for these input bytes and that
-    its payload is intact."""
-    digest = hashlib.sha256(key)
-    digest.update(np.ascontiguousarray(probs))
-    return f"{manifest.name}.{digest.hexdigest()}.npy"
+# The tails of the names of a manifest's files in its cache directory, after
+# the manifest's own file name: an entry (the sha256 of its key, then of its
+# payload) and the temporary file of a store.
+_ENTRY_TAIL = r"\.[0-9a-f]{64}\.[0-9a-f]{64}\.npy"
+_TEMP_TAIL = r"\.[^.]+\.tmp"
 
 
-def _entries(manifest):
-    """The cache entries beside `manifest` for its file name."""
-    named = re.compile(re.escape(manifest.name) + r"\.[0-9a-f]{64}\.npy").fullmatch
+def _payload_hex(probs):
+    """The sha256 of the bytes of `probs`, in C order, as hex."""
+    return hashlib.sha256(np.ascontiguousarray(probs)).hexdigest()
+
+
+def _cache_files(manifest, tail):
+    """The files in the cache directory beside `manifest` named its file
+    name followed by a match of `tail`."""
+    named = re.compile(re.escape(manifest.name) + tail).fullmatch
     try:
         return sorted(p for p in (manifest.parent / _CACHE_DIR).iterdir() if named(p.name))
     except OSError:
         return []
 
 
-def _cached_probs(manifest, key, shape):
+def _cached_probs(manifest, digests, paths, shape):
     """The float64 tensor of `shape` from the cache entry beside `manifest`
-    whose name is its digest under `key`; None if there is none."""
-    for entry in _entries(manifest):
+    for the pool whose manifest and labels file have the sha256 `digests`
+    and whose model files are at `paths`; None if there is none. The model
+    files are hashed only when the manifest has an entry to check."""
+    entries = _cache_files(manifest, _ENTRY_TAIL)
+    if not entries:
+        return None
+    try:
+        key = _pool_key([*digests, *map(_file_digest, paths)])
+    except OSError:
+        return None
+    prefix = f"{manifest.name}.{key.hex()}."
+    for entry in entries:
+        if not entry.name.startswith(prefix):
+            continue
         try:
             with entry.open("rb") as fh:
                 probs = np.load(fh, allow_pickle=False)
@@ -671,7 +703,7 @@ def _cached_probs(manifest, key, shape):
         except (OSError, ValueError, EOFError, MemoryError):
             continue
         if (isinstance(probs, np.ndarray) and probs.dtype == np.float64
-                and probs.shape == shape and entry.name == _entry_name(manifest, key, probs)):
+                and probs.shape == shape and entry.name == f"{prefix}{_payload_hex(probs)}.npy"):
             return probs
     return None
 
@@ -679,13 +711,13 @@ def _cached_probs(manifest, key, shape):
 def _store(manifest, key, probs):
     """Save `probs` as the cache entry beside `manifest` for `key`, through
     a temporary file and os.replace, then remove that manifest's other
-    entries. Raises OSError when the cache cannot be written; it then holds
-    no partial entry."""
+    entries and temporary files. Raises OSError when the cache cannot be
+    written; it then holds no partial entry."""
     probs = np.ascontiguousarray(probs)
     cache = manifest.parent / _CACHE_DIR
-    entry = cache / _entry_name(manifest, key, probs)
+    entry = cache / f"{manifest.name}.{key.hex()}.{_payload_hex(probs)}.npy"
     cache.mkdir(exist_ok=True)
-    fd, temp = tempfile.mkstemp(suffix=".tmp", dir=cache)
+    fd, temp = tempfile.mkstemp(prefix=f"{manifest.name}.", suffix=".tmp", dir=cache)
     try:
         with os.fdopen(fd, "wb") as fh:
             np.save(fh, probs, allow_pickle=False)
@@ -694,18 +726,11 @@ def _store(manifest, key, probs):
         with contextlib.suppress(OSError):
             os.unlink(temp)
         raise
-    for old in _entries(manifest):
+    # A temporary file here was left by a store that was killed, or is being
+    # written by another process, whose store then fails as best-effort.
+    for old in _cache_files(manifest, _ENTRY_TAIL) + _cache_files(manifest, _TEMP_TAIL):
         if old != entry:
-            old.unlink()
-
-
-def _read_key(files):
-    """The cache key of the pool whose files, manifest first, are `files`;
-    None if one of them cannot be read."""
-    try:
-        return _pool_key(map(_file_digest, files))
-    except OSError:
-        return None
+            old.unlink(missing_ok=True)
 
 
 def load_pool(manifest_path):
@@ -718,21 +743,21 @@ def load_pool(manifest_path):
     every input file (see the module docstring).
     """
     manifest_path = Path(manifest_path)
-    classes, labels_path, entries = _read_manifest(manifest_path)
+    classes, labels_path, entries, manifest_digest = _read_manifest(manifest_path)
     base = manifest_path.parent
     names = [str(entry.get("name", f"model-{position}"))
              for position, entry in enumerate(entries)]
     paths = [base / entry["predictions_path"] for entry in entries]
-    files = [manifest_path, base / labels_path, *paths]
-    # Hashed before any file is parsed: if the key still matches after the
-    # parse, the entry stored holds what these bytes parse to.
-    key = _read_key(files)
-    index, truth = _read_labels(base / labels_path, classes)
+    index, truth, labels_digest = _read_labels(base / labels_path, classes)
+    # Each digest is of the bytes parsed (or, on a hit, of the bytes the
+    # entry was stored for), so an entry always holds what its key's bytes
+    # parse to, whatever changes while this runs.
+    digests = [manifest_digest, labels_digest]
     shape = (len(entries), len(index), len(classes))
-    probs = None if key is None else _cached_probs(manifest_path, key, shape)
+    probs = _cached_probs(manifest_path, digests, paths, shape)
     parsed = probs is None
     if parsed:
-        probs = _read_models(paths, names, classes, index)
+        probs, model_digests = _read_models(paths, names, classes, index)
     models = [
         ModelRecord(model_id=position, name=name, predictions_path=entry["predictions_path"])
         for position, (name, entry) in enumerate(zip(names, entries))
@@ -745,24 +770,25 @@ def load_pool(manifest_path):
         truth=truth,
         probs=probs,
     )
-    if parsed and key is not None and _read_key(files) == key:
+    if parsed:
         with contextlib.suppress(OSError):  # the cache is best-effort
-            _store(manifest_path, key, pool.probs)
+            _store(manifest_path, _pool_key(digests + model_digests), pool.probs)
     return pool
 
 
 def _read_models(paths, names, classes, index):
     """The (M, N, C) tensor of the model files at `paths`, their rows placed
-    by `index`, {sample_id: position}."""
+    by `index`, {sample_id: position}, and the sha256 of each file's bytes."""
     sample_ids = list(index)
 
     def read(position):
-        """Model file `position`'s block, and the pool row of each of its
-        rows, or None when its rows are in the labels file's order."""
+        """Model file `position`'s block, the pool row of each of its rows,
+        or None when its rows are in the labels file's order, and the sha256
+        of its bytes."""
         name, path = names[position], paths[position]
-        ids, block = _read_predictions(path, classes, name)
+        ids, block, digest = _read_predictions(path, classes, name)
         if ids == sample_ids:
-            return block, None
+            return block, None, digest
         rows = list(map(index.get, ids))
         if len(rows) != len(index) or None in rows:
             missing = sorted(set(index).difference(ids))[:3]
@@ -772,16 +798,18 @@ def _read_models(paths, names, classes, index):
                 + (f"; missing {missing}" if missing else "")
                 + (f"; unexpected {extra}" if extra else "")
             )
-        return block, rows
+        return block, rows, digest
 
     nbytes = sum(path.stat().st_size for path in paths if path.is_file())
     probs = np.empty((len(paths), len(index), len(classes)), dtype=np.float64)
-    for position, (block, rows) in enumerate(_spread(read, range(len(paths)), nbytes)):
+    digests = []
+    for position, (block, rows, digest) in enumerate(_spread(read, range(len(paths)), nbytes)):
         if rows is None:
             probs[position] = block
         else:
             probs[position, rows] = block
-    return probs
+        digests.append(digest)
+    return probs, digests
 
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search

@@ -51,7 +51,7 @@ def test_simulate_writes_expected_files(tmp_path, capsys):
     assert files == [".sqdiv-cache", "labels.csv", "manifest.json", "model_00.csv",
                      "model_01.csv", "model_02.csv", "model_03.csv"]
     [entry] = (out / ".sqdiv-cache").iterdir()
-    assert re.fullmatch(r"manifest\.json\.[0-9a-f]{64}\.npy", entry.name)
+    assert re.fullmatch(r"manifest\.json\.[0-9a-f]{64}\.[0-9a-f]{64}\.npy", entry.name)
     assert "pool fingerprint" in stdout
     assert "planted team" in stdout
 

@@ -622,7 +622,7 @@ _TOKEN_TEXT = st.text(
 @example(text="a\r\n\rb\x0cc,\x85\n\n ,1\u2028\r", bom=True)
 def test_plain_lines_split_as_csv_reader_does(text, bom):
     text = "\ufeff" * bom + text
-    lines = _plain_lines(io.StringIO(text, newline=""))
+    lines = _plain_lines(text)
     if any(c in text for c in '"\0\x1c\x1d\x1e\x1f'):
         assert lines is None
     else:
@@ -917,27 +917,118 @@ def test_new_entry_replaces_only_its_manifests_older_ones(tmp_path):
     assert still == kept
 
 
-def test_file_changed_during_the_load_is_not_stored(write_manifest, tmp_path, monkeypatch):
-    """A model file edited after the key is hashed, and before it is parsed,
-    leaves no entry; once the edit is undone, nothing stale is served."""
+def test_store_removes_temporary_files_a_killed_store_left(tmp_path, monkeypatch):
+    manifest = write_pool(random_pool(8, n_models=2, n_samples=3, n_classes=2), tmp_path)
+    other = tmp_path / "other.json"
+    shutil.copyfile(manifest, other)
+    [entry] = _cache_files(manifest)
+    (tmp_path / ".sqdiv-cache" / entry).unlink()
+
+    def killed(*args):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        # Stopped between its temporary file and os.replace, with no cleanup.
+        patch.setattr(os, "replace", killed)
+        patch.setattr(os, "unlink", lambda path: None)
+        for target in (manifest, other):
+            with pytest.raises(KeyboardInterrupt):
+                load_pool(target)
+    left = _cache_files(manifest)
+    assert [name.split(".")[0] for name in left] == ["manifest", "other"]
+    assert all(name.endswith(".tmp") for name in left)
+    _, parsed = _load(manifest)
+    assert parsed
+    assert _cache_files(manifest) == [entry, left[1]]
+
+
+def _assert_loads_as_a_copy_without_cache(manifest, where, pool=None):
+    """`pool` (by default, load_pool(manifest)) equals load_pool on a copy,
+    in `where`, of the files beside `manifest` without its cache; if the
+    copy fails to load, so does `manifest`, with the same message."""
+    shutil.rmtree(where, ignore_errors=True)
+    where.mkdir()
+    for path in manifest.parent.iterdir():
+        if path.is_file():
+            shutil.copyfile(path, where / path.name)
+    try:
+        expected = load_pool(where / manifest.name)
+    except PoolFormatError as exc:
+        assert pool is None
+        with pytest.raises(PoolFormatError) as failed:
+            load_pool(manifest)
+        assert str(failed.value).replace(str(manifest.parent), "") == \
+            str(exc).replace(str(where), "")
+        return
+    _assert_same_pool(load_pool(manifest) if pool is None else pool, expected)
+
+
+# Where an edit lands while load_pool runs: right after the function named
+# returns (or, for _read_models, right before it parses); whether the cache
+# is warm for the files as they were; and the file edited, by swapping two
+# byte strings of equal length. On a miss the model files are parsed after
+# the edit, so the load returns the edited pool.
+EDITED_MEANWHILE = {
+    "manifest's model order, after it is parsed":
+        ("_read_manifest", "after", True, "manifest.json", b'"preds_0.csv"', b'"preds_1.csv"'),
+    # The model files' headers no longer match, so a load of the edited
+    # manifest fails.
+    "manifest's class order, after it is parsed":
+        ("_read_manifest", "after", True, "manifest.json", b'"a"', b'"b"'),
+    "labels file, after it is parsed on a hit":
+        ("_read_labels", "after", True, "labels.csv", b"s1,a\ns2,b", b"s2,b\ns1,a"),
+    "model file, after it is hashed on a hit":
+        ("_file_digest", "after", True, "preds_0.csv", b"0.9,0.1", b"0.8,0.2"),
+    "model file, after it is hashed on a miss":
+        ("_file_digest", "after", False, "preds_0.csv", b"0.9,0.1", b"0.8,0.2"),
+    "model file, before it is parsed":
+        ("_read_models", "before", False, "preds_0.csv", b"0.9,0.1", b"0.8,0.2"),
+}
+
+
+@pytest.mark.parametrize("case", list(EDITED_MEANWHILE))
+def test_file_edited_during_the_load_never_keys_an_entry_to_other_bytes(
+        write_manifest, tmp_path_factory, monkeypatch, case):
+    """The pool a load returns, and every later load, equal a load without
+    a cache of the bytes that load read: an entry is keyed by the bytes
+    parsed or, on a hit, by the bytes hashed."""
     manifest = write_manifest(
         classes=["a", "b"],
-        labels=[("s1", "a")],
-        model_rows=[{"s1": (0.9, 0.1)}, {"s1": (0.6, 0.4)}],
+        labels=[("s1", "a"), ("s2", "b")],
+        model_rows=[{"s1": (0.9, 0.1), "s2": (0.3, 0.7)}, {"s1": (0.6, 0.4), "s2": (0.2, 0.8)}],
     )
-    preds = tmp_path / "preds_0.csv"
-    original = preds.read_bytes()
-    read_labels = sqpool._read_labels
+    cold = tmp_path_factory.mktemp("cold") / "pool"
+    name, when, warm, file, old, new = EDITED_MEANWHILE[case]
+    path = manifest.parent / file
+    before = path.read_bytes()
+    after = before.replace(old, b"\0").replace(new, old).replace(b"\0", new)
+    assert after != before and len(after) == len(before)
+    load_pool(manifest)
+    if not warm:
+        path.write_bytes(after)
+        load_pool(manifest)  # a stale entry, for the files before the edit
+        path.write_bytes(before)
 
-    def edited_meanwhile(*args):
-        preds.write_bytes(original.replace(b"0.9,0.1", b"0.8,0.2"))
-        return read_labels(*args)
+    original = getattr(sqpool, name)
+    edited = []
 
-    monkeypatch.setattr(sqpool, "_read_labels", edited_meanwhile)
-    assert load_pool(manifest).probs[0, 0].tolist() == [0.8, 0.2]
-    assert _cache_files(manifest) == []
+    def edit_meanwhile(*args):
+        if when == "before" and not edited:
+            path.write_bytes(after)
+            edited.append(1)
+        result = original(*args)
+        if when == "after" and not edited and (name != "_file_digest" or args[0] == path):
+            path.write_bytes(after)
+            edited.append(1)
+        return result
+
+    monkeypatch.setattr(sqpool, name, edit_meanwhile)
+    pool = load_pool(manifest)
     monkeypatch.undo()
-    preds.write_bytes(original)
-    pool, parsed = _load(manifest)
-    assert parsed
-    assert pool.probs[0, 0].tolist() == [0.9, 0.1]
+    assert edited
+    if warm:
+        path.write_bytes(before)
+    _assert_loads_as_a_copy_without_cache(manifest, cold, pool)
+    for content in (after, before, after):
+        path.write_bytes(content)
+        _assert_loads_as_a_copy_without_cache(manifest, cold)
