@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scoring import ScoreConfig, score_teams
-from .teams import SOFT, consensus, enumerate_teams, make_team, team_accuracy_table
+from .teams import SOFT, consensus, enumerate_teams, make_team, team_accuracy_table, team_plan
 
 
 class UndefinedCorrelationError(ValueError):
-    """Correlation requested on a constant (zero-variance) sequence."""
+    """Correlation requested on a constant (zero-variance) sequence, or on
+    values whose correlation is not a finite number."""
 
 
 def pearson(xs, ys):
@@ -29,13 +30,17 @@ def pearson(xs, ys):
         raise ValueError("pearson needs two equal-length 1-d sequences")
     if x.size < 2:
         raise ValueError("pearson needs at least 2 points")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    vx = float(xc @ xc)
-    vy = float(yc @ yc)
+    with np.errstate(all="ignore"):  # a non-finite value, or sums past the float range
+        xc = x - x.mean()
+        yc = y - y.mean()
+        vx = float(xc @ xc)
+        vy = float(yc @ yc)
+        cov = float(xc @ yc)
     if vx == 0.0 or vy == 0.0:
         raise UndefinedCorrelationError("undefined correlation: zero variance")
-    return float((xc @ yc) / math.sqrt(vx * vy))
+    if not (math.isfinite(vx * vy) and math.isfinite(cov)):
+        raise UndefinedCorrelationError("undefined correlation: non-finite values")
+    return float(cov / math.sqrt(vx * vy))
 
 
 def _ranks(values):
@@ -78,7 +83,8 @@ class SweepResult:
 
     def correlations(self, estimator):
         """{metric: estimator(team scores, team accuracies)} for every scored
-        metric; a constant score or accuracy column reports None."""
+        metric; a constant score or accuracy column, or one whose correlation
+        is not finite, reports None."""
         report = {}
         for metric, column in self.scores.items():
             try:
@@ -90,13 +96,13 @@ class SweepResult:
 
 def sweep(pool, cm, metrics, cfg=ScoreConfig(), consensus_method=SOFT,
           min_size=2, max_size=None):
-    teams = list(enumerate_teams(pool.n_models, min_size, max_size))
-    scores = score_teams(pool, cm, teams, metrics, cfg)
+    # perfbench's tracer hands enumerate_teams' teams back as a list.
+    plan = team_plan(enumerate_teams(pool.n_models, min_size, max_size), pool.n_models)
     return SweepResult(
-        team_keys=tuple(t.team_key for t in teams),
-        team_sizes=np.array([t.size for t in teams], dtype=np.int64),
-        scores=scores,
-        accuracy=team_accuracy_table(pool, teams, consensus_method),
+        team_keys=plan.team_keys,
+        team_sizes=plan.team_sizes,
+        scores=score_teams(pool, cm, plan, metrics, cfg),
+        accuracy=team_accuracy_table(pool, plan, consensus_method),
     )
 
 

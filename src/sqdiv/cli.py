@@ -47,13 +47,14 @@ SELECTION_COLUMNS = (
 _ALPHA_ON = ("labels", "correctness")
 
 # Most candidate teams evaluate and select will enumerate. Every team's
-# object, key, size, accuracy and one float per metric stay in memory until
-# the artifacts are written, so the team count, not the pool size, bounds a
-# run's memory. 2**16 admits every team of a 16-model pool (65,519). At that
-# budget, on a 2-vCPU host, `evaluate` on a synthetic pool with N=1000 and
-# C=15 takes 3.8 s with soft or majority voting, at a peak RSS of 84 MB;
-# `select --metric sq` on a 14-model pool (16,369 teams) with N=5000 takes
-# 1.2 s at 57 MB.
+# member ids, key, size, accuracy and one float per metric stay in memory
+# until the artifacts are written, so the team count, not the pool size,
+# bounds a run's memory. 2**16 admits every team of a 16-model pool
+# (65,519). At that budget, on a 2-vCPU host, `evaluate` on a synthetic pool
+# with N=1000 and C=15 takes 2.1 s with soft voting and 2.4 s with majority
+# voting, at a peak RSS of 74 MB (86 MB and 7.8 s with N=5000); `select
+# --metric sq` on a 14-model pool (16,369 teams) with N=5000 takes 0.8 s at
+# 55 MB.
 MAX_TEAMS = 1 << 16
 
 

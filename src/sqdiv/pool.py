@@ -316,7 +316,8 @@ def _read_text(path, context):
     line ends kept, and the sha256 of the bytes it was decoded from."""
     path = Path(path)
     if not path.is_file():
-        raise PoolFormatError(f"{context} file not found: {path}")
+        problem = "path is not a file" if path.exists() else "file not found"
+        raise PoolFormatError(f"{context} {problem}: {path}")
     data = path.read_bytes()
     try:
         return data.decode("utf-8-sig"), hashlib.sha256(data).digest()
@@ -474,9 +475,10 @@ def _read_manifest(path):
     data = path.read_bytes()
     # Line ends are translated as Path.read_text translates them, so a
     # JSON error names the same line, column and character.
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     try:
-        manifest = json.loads(text)
+        manifest = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    except UnicodeDecodeError:
+        raise PoolFormatError(f"manifest is not UTF-8 text: {path}") from None
     except json.JSONDecodeError as exc:
         raise PoolFormatError(f"manifest is not valid JSON: {path}: {exc}") from None
     if not isinstance(manifest, dict):

@@ -1,11 +1,13 @@
 """Metric registry and the team scorer.
 
 score_teams is the only scorer; score_team is score_teams run on one team.
-Teams are scored in batches of one size. A batch's classical metrics come
-from each team's pair counts on its negative set, or on all samples
-(qmetrics.classical_batch): the pool's correctness Gram matrix less the
-samples every member gets right, or, when the negative set is capped to a
-random subset, the Gram matrix of the team's correctness rows on it.
+It takes a TeamPlan (teams.enumerate_teams) or a sequence of teams, made a
+plan once, and scores the plan's size batches of member arrays. A batch's
+classical metrics come from each team's pair counts on its negative set,
+or on all samples (qmetrics.classical_batch): the pool's correctness Gram
+matrix less the samples every member gets right, or, when the negative set
+is capped to a random subset, the Gram matrix of the team's correctness
+rows on it.
 
 The synergy metric SQ lets each team member take a turn as the focal model.
 The focal's failure samples form its negative set, on which two terms are
@@ -38,6 +40,7 @@ know.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -57,7 +60,7 @@ from .qmetrics import (
     negative_samples,
     row_mean,
 )
-from .teams import make_team, size_batches
+from .teams import make_team, team_plan
 
 METRICS = (*CLASSICAL, "SQ")
 # The note an SQ score carries when every member is a skipped focal.
@@ -91,12 +94,12 @@ def metric_direction(metric):
 class ScoreConfig:
     """One bundle of scoring knobs shared by every metric.
 
-    w_epsilon and w_alpha weight the two SQ components and must be
-    non-negative. negative_cap, when set, caps every negative sample set at
-    a uniform subset of that size drawn from seed. use_full_set evaluates
-    the classical metrics on all samples instead of the team's negative
-    samples. alpha_on_labels switches SQ's agreement component between
-    predicted labels (default) and correctness outcomes.
+    w_epsilon and w_alpha weight the two SQ components and must be finite
+    and non-negative. negative_cap, when set, caps every negative sample
+    set at a uniform subset of that size drawn from seed. use_full_set
+    evaluates the classical metrics on all samples instead of the team's
+    negative samples. alpha_on_labels switches SQ's agreement component
+    between predicted labels (default) and correctness outcomes.
     """
 
     w_epsilon: float = 1.0
@@ -107,8 +110,8 @@ class ScoreConfig:
     alpha_on_labels: bool = True
 
     def __post_init__(self):
-        if self.w_epsilon < 0 or self.w_alpha < 0:
-            raise ValueError("weights must be non-negative")
+        if not all(math.isfinite(w) and w >= 0 for w in (self.w_epsilon, self.w_alpha)):
+            raise ValueError("weights must be finite and non-negative")
         if self.negative_cap is not None and self.negative_cap < 1:
             raise ValueError("negative_cap must be a positive integer")
 
@@ -169,24 +172,21 @@ class ScoreColumn(Mapping):
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
-def _undefined(metrics, team):
+def _undefined(metrics, team_key):
     return UndefinedDiversityError(
         metrics[0],
         f"undefined diversity: {'/'.join(metrics)} on team "
-        f"{team.team_key} (empty evaluation subset)",
+        f"{team_key} (empty evaluation subset)",
     )
 
 
-def _classical(cm, teams, metrics, cfg):
-    """Classical scores of every team on its negative set, or on all samples
-    with use_full_set: ({metric: array of scores in team order}, GD's
-    no-failures mask or None), as classical_batch."""
+def _classical(cm, plan, metrics, cfg):
+    """Classical scores of every team of a TeamPlan on its negative set, or
+    on all samples with use_full_set: ({metric: array of scores in team
+    order}, GD's no-failures mask or None), as classical_batch."""
     packed = np.packbits(cm.bits, axis=1)
-    batches = size_batches(
-        [t.member_ids for t in teams], cm.n_models,
-        lambda k: k * packed.shape[1] + 64 * k * k,
-    )
-    removed = np.zeros(len(teams), dtype=np.int64)
+    batches = list(plan.batches(lambda k: k * packed.shape[1] + 64 * k * k))
+    removed = np.zeros(len(plan), dtype=np.int64)
     if not cfg.use_full_set:
         # A team's negative set drops exactly the samples all members get right.
         for positions, members in batches:
@@ -198,14 +198,14 @@ def _classical(cm, teams, metrics, cfg):
         n = np.minimum(n, cfg.negative_cap)
     empty = np.flatnonzero(n == 0)
     if empty.size:
-        raise _undefined(metrics, teams[empty[0]])
+        raise _undefined(metrics, plan.team_keys[empty[0]])
     g = None if capped else gram(cm.bits)
-    values = {metric: np.empty(len(teams)) for metric in metrics}
-    no_failures = np.zeros(len(teams), dtype=bool) if "GD" in metrics else None
+    values = {metric: np.empty(len(plan)) for metric in metrics}
+    no_failures = np.zeros(len(plan), dtype=bool) if "GD" in metrics else None
     for positions, members in batches:
         if capped:
-            negs = (negative_samples(cm, teams[p], ANY_MEMBER_ERRS, cfg.seed, cfg.negative_cap)
-                    for p in positions)
+            negs = (negative_samples(cm, ids, ANY_MEMBER_ERRS, cfg.seed, cfg.negative_cap)
+                    for ids in members)
             counts = np.stack([gram(cm.bits[ids][:, list(neg.sample_indices)])
                                for ids, neg in zip(members, negs)])
         else:
@@ -277,9 +277,9 @@ class _FocalTables:
     models up and would move kappas, and so artifacts, by an ulp.
     """
 
-    def __init__(self, pool, cm, teams, cfg):
+    def __init__(self, pool, cm, plan, cfg):
         m = pool.n_models
-        models = tuple(sorted({i for team in teams for i in team.member_ids}))
+        models = tuple(sorted({i for _, members in plan.groups for i in members.ravel().tolist()}))
         if cfg.alpha_on_labels:
             data, n_classes = pool.predicted_labels(), pool.n_classes
         else:
@@ -306,10 +306,10 @@ class _FocalTables:
                 self.kappa[f, others[i], others[j]] = k
                 self.kappa[f, others[j], others[i]] = k
 
-    def _terms(self, batches, cfg):
-        """Per batch of equal-size teams (from size_batches): positions,
-        members, the per-focal epsilon, alpha and combined terms (teams x
-        k) and the team scores.
+    def _terms(self, plan, cfg):
+        """Per batch of equal-size teams of a TeamPlan: positions, members,
+        the per-focal epsilon, alpha and combined terms (teams x k) and the
+        team scores.
 
         The focal role rotates through every member; members with no
         negative samples are skipped, and the team score is the mean
@@ -317,7 +317,7 @@ class _FocalTables:
         mean is taken over the same values in the same order as for a
         single team, so batching never changes a score.
         """
-        for positions, members in batches:
+        for positions, members in plan.batches(lambda k: 64 * k * k):
             t, k = members.shape
             eps = np.empty((t, k))
             alpha = np.zeros((t, k))
@@ -339,20 +339,20 @@ class _FocalTables:
                 aggregate[rows] = row_mean(kept)
             yield positions, members, eps, alpha, combined, aggregate
 
-    def scores(self, batches, n_teams, cfg):
-        """SQ of every team in input order, and the mask of teams whose
+    def scores(self, plan, cfg):
+        """SQ of every team in team order, and the mask of teams whose
         every focal is skipped."""
-        aggregate = np.zeros(n_teams)
-        all_skipped = np.zeros(n_teams, dtype=bool)
-        for positions, members, _, _, _, team_scores in self._terms(batches, cfg):
+        aggregate = np.zeros(len(plan))
+        all_skipped = np.zeros(len(plan), dtype=bool)
+        for positions, members, _, _, _, team_scores in self._terms(plan, cfg):
             aggregate[positions] = team_scores
             all_skipped[positions] = ~(self.counts[members] > 0).any(axis=1)
         return aggregate, all_skipped
 
-    def breakdowns(self, batches, n_teams, cfg):
-        """SQBreakdown of every team, in input order."""
-        out = [None] * n_teams
-        for positions, members, eps, alpha, combined, aggregate in self._terms(batches, cfg):
+    def breakdowns(self, plan, cfg):
+        """SQBreakdown of every team, in team order."""
+        out = [None] * len(plan)
+        for positions, members, eps, alpha, combined, aggregate in self._terms(plan, cfg):
             columns = zip(
                 positions, members.tolist(), self.counts[members].tolist(),
                 eps.tolist(), alpha.tolist(), combined.tolist(), aggregate.tolist(),
@@ -375,29 +375,29 @@ class _FocalTables:
 def score_teams(pool, cm, teams, metrics, cfg=ScoreConfig()):
     """Score many teams with many metrics in one pass.
 
-    Returns {metric: ScoreColumn}: per metric, the scores of the teams in
-    input order as an array, readable as a mapping {team_key:
+    teams is a TeamPlan or a sequence of EnsembleTeams, made a TeamPlan
+    once. Returns {metric: ScoreColumn}: per metric, the scores of the teams
+    in team order as an array, readable as a mapping {team_key:
     DiversityScore}. A GD score of a team on which nothing fails carries the
     "no-failures" note, and an SQ score of a team whose every focal is
     skipped the "all-focals-skipped" note; an SQ score's .detail is the
     team's SQBreakdown. Classical-metric errors on a degenerate team abort
     the sweep naming the first such team in input order. Raises ValueError,
     before any scoring, for a team key that appears twice and for a team
-    that make_team would reject (see teams.size_batches).
+    that teams.team_plan rejects.
     """
-    teams = list(teams)
+    plan = team_plan(teams, cm.n_models)
     metrics = [normalize_metric(m) for m in metrics]
     if len(set(metrics)) != len(metrics):
         raise ValueError("duplicate metrics requested")
-    keys = tuple(team.team_key for team in teams)
+    keys, sizes = plan.team_keys, plan.team_sizes
     if len(set(keys)) != len(keys):
         repeated = next(key for key, n in Counter(keys).items() if n > 1)
         raise ValueError(f"team key {repeated!r} repeated: score each team once")
-    sizes = np.array([team.size for team in teams], dtype=np.int64)
     out = {}
     classical = [m for m in metrics if m != "SQ"]
     if classical:
-        values, no_failures = _classical(cm, teams, classical, cfg)
+        values, no_failures = _classical(cm, plan, classical, cfg)
         for metric in classical:
             gd = metric == "GD"
             out[metric] = ScoreColumn(
@@ -405,11 +405,10 @@ def score_teams(pool, cm, teams, metrics, cfg=ScoreConfig()):
                 note=NO_FAILURES if gd else None, flagged=no_failures if gd else None,
             )
     if "SQ" in metrics:
-        batches = size_batches([t.member_ids for t in teams], cm.n_models, lambda k: 64 * k * k)
-        tables = _FocalTables(pool, cm, teams, cfg)
-        aggregate, all_skipped = tables.scores(batches, len(teams), cfg)
+        tables = _FocalTables(pool, cm, plan, cfg)
+        aggregate, all_skipped = tables.scores(plan, cfg)
         out["SQ"] = ScoreColumn(
             "SQ", keys, sizes, aggregate, note=ALL_FOCALS_SKIPPED, flagged=all_skipped,
-            details=lambda: tables.breakdowns(batches, len(keys), cfg),
+            details=lambda: tables.breakdowns(plan, cfg),
         )
     return {metric: out[metric] for metric in metrics}

@@ -91,7 +91,7 @@ def select_and_evaluate(
     """
     metric = normalize_metric(metric)
     consensus_method = normalize_method(consensus_method)
-    teams = list(enumerate_teams(pool.n_models, min_size, max_size))
+    teams = enumerate_teams(pool.n_models, min_size, max_size)
     scored = score_teams(pool, cm, teams, [metric], cfg)[metric]
     rows = []
     for entry in rank_teams(scored, metric, k):

@@ -4,6 +4,12 @@ Team keys follow the compact convention: pools of up to 10 models join the
 single-digit member ids directly ("139" is the team {1, 3, 9}); larger
 pools hyphenate ("1-3-11"). Soft voting is the default consensus.
 
+enumerate_teams returns a TeamPlan: one (teams, k) int64 member array per
+team size, with the team keys and sizes in team order. Scoring and
+team_accuracy_table read those arrays in size batches, so a run builds one
+plan and no per-team object. They also take a sequence of EnsembleTeams,
+which team_plan checks by make_team's rule and turns into a plan once.
+
 There is one vote step: a team's member probability rows are summed in
 member order and _vote applies the tie rules. team_accuracy_table runs it
 only on the (team, sample) cells a screen leaves open. The screen sums, per
@@ -67,7 +73,7 @@ def make_team(team, n_models):
     bool is not), a repeated member, fewer than 2 members or a member
     outside the pool's n_models."""
     ids = tuple(team)
-    if not all(_is_id_type(type(i)) for i in ids):
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in ids):
         raise ValueError(f"team member ids must be integers, got {ids!r}")
     ids = tuple(sorted(int(i) for i in ids))
     if len(set(ids)) != len(ids):
@@ -77,11 +83,6 @@ def make_team(team, n_models):
     if ids[0] < 0 or ids[-1] >= n_models:
         raise ValueError("team member outside the pool")
     return EnsembleTeam(member_ids=ids, team_key=team_key_for(ids, n_models))
-
-
-def _is_id_type(cls):
-    """Whether a member id of class `cls` is an integer: bool is not."""
-    return issubclass(cls, (int, np.integer)) and not issubclass(cls, bool)
 
 
 def parse_team_key(key):
@@ -110,15 +111,89 @@ def _size_bounds(n_models, min_size, max_size):
     return min_size, max_size
 
 
-def enumerate_teams(n_models, min_size=2, max_size=None):
-    """Yield all candidate teams in (size, lexicographic) order.
+# Teams are handled in batches of one size whose temporaries stay near this
+# many bytes, however many teams a call covers.
+_BATCH_BYTES = 1 << 20
 
-    Streaming so large pools never materialize the full candidate set.
+
+class TeamPlan:
+    """Teams as one (teams, k) int64 member array per size k.
+
+    groups holds (positions, members) pairs: the teams' positions in team
+    order and their member ids, one row per team. team_keys and team_sizes
+    are in team order. len() counts the teams, and iteration yields each as
+    an EnsembleTeam, in team order.
+    """
+
+    def __init__(self, n_models, groups, team_keys):
+        self.n_models = n_models
+        self.groups = groups
+        self.team_keys = team_keys
+        self.team_sizes = np.empty(len(team_keys), dtype=np.int64)
+        for positions, members in groups:
+            self.team_sizes[positions] = members.shape[1]
+
+    def __len__(self):
+        return len(self.team_keys)
+
+    def __iter__(self):
+        rows = dict(chain.from_iterable(zip(p.tolist(), map(tuple, m.tolist()))
+                                        for p, m in self.groups))
+        return (EnsembleTeam(rows[p], key) for p, key in enumerate(self.team_keys))
+
+    def batches(self, team_bytes):
+        """(positions, members) chunks of each size's teams whose
+        temporaries stay near _BATCH_BYTES; team_bytes(k) estimates one
+        team's share of them."""
+        for positions, members in self.groups:
+            rows = max(1, _BATCH_BYTES // team_bytes(members.shape[1]))
+            for start in range(0, len(positions), rows):
+                yield positions[start:start + rows], members[start:start + rows]
+
+
+def team_plan(teams, n_models):
+    """teams as a TeamPlan: a TeamPlan as it is, or a sequence of
+    EnsembleTeams in its order. Raises ValueError for a team that make_team
+    would reject or whose ids are not strictly increasing."""
+    if isinstance(teams, TeamPlan):
+        if teams.n_models != n_models:
+            raise ValueError(f"a plan for {teams.n_models} models on a {n_models}-model pool")
+        return teams
+    teams = list(teams)
+    by_size = {}
+    for pos, team in enumerate(teams):
+        ids = tuple(team.member_ids)
+        try:
+            if make_team(ids, n_models).member_ids != ids:
+                raise ValueError
+        except ValueError:
+            raise ValueError(
+                f"bad team {ids}: a team needs at least 2 integer members, in strictly "
+                f"increasing order, each below the pool's {n_models} models"
+            ) from None
+        by_size.setdefault(len(ids), []).append((pos, ids))
+    groups = [(np.array([p for p, _ in group], dtype=np.int64),
+               np.array([ids for _, ids in group], dtype=np.int64))
+              for _, group in sorted(by_size.items())]
+    return TeamPlan(n_models, groups, tuple(team.team_key for team in teams))
+
+
+def enumerate_teams(n_models, min_size=2, max_size=None):
+    """All candidate teams in (size, lexicographic) order, as a TeamPlan.
+
+    The plan holds 8 * k bytes of member ids per team of size k, and one
+    team key string per team.
     """
     min_size, max_size = _size_bounds(n_models, min_size, max_size)
-    for size in range(min_size, max_size + 1):
-        for ids in combinations(range(n_models), size):
-            yield EnsembleTeam(member_ids=ids, team_key=team_key_for(ids, n_models))
+    groups, start = [], 0
+    for k in range(min_size, max_size + 1):
+        count = math.comb(n_models, k)
+        members = np.fromiter(chain.from_iterable(combinations(range(n_models), k)),
+                              dtype=np.int64, count=count * k).reshape(count, k)
+        groups.append((np.arange(start, start + count), members))
+        start += count
+    keys = tuple(team_key_for(ids, n_models) for _, m in groups for ids in m.tolist())
+    return TeamPlan(n_models, groups, keys)
 
 
 def count_teams(n_models, min_size=2, max_size=None):
@@ -132,45 +207,6 @@ class ConsensusResult:
     method: str
     predicted: np.ndarray
     accuracy: float
-
-
-# Teams are handled in batches of one size whose temporaries stay near this
-# many bytes, however many teams a call covers.
-_BATCH_BYTES = 1 << 20
-
-
-def size_batches(member_sets, n_models, team_bytes):
-    """Split member tuples into batches of one size, each in input order.
-
-    Returns (positions, members) pairs: the tuples' positions in the input
-    and a (batch, k) array of their member ids. team_bytes(k) estimates one
-    team's share of a batch's temporaries. Raises ValueError for a tuple
-    that make_team would reject: fewer than 2 members, an id that is not an
-    integer (a bool is not), ids not strictly increasing, or an id outside
-    the pool's n_models.
-    """
-    by_size = {}
-    for pos, ids in enumerate(member_sets):
-        by_size.setdefault(len(ids), []).append(pos)
-    batches = []
-    for k, positions in sorted(by_size.items()):
-        sets = [member_sets[p] for p in positions]
-        if all(map(_is_id_type, set(map(type, chain.from_iterable(sets))))):
-            members = np.array(sets, dtype=np.int64)
-            bad = (np.diff(members, axis=1) <= 0).any(axis=1)
-            bad |= (members < 0).any(axis=1) | (members >= n_models).any(axis=1)
-        else:
-            bad = [not all(_is_id_type(type(i)) for i in ids) for ids in sets]
-        if k < 2 or np.any(bad):
-            raise ValueError(
-                f"bad team {tuple(sets[np.argmax(bad)])}: a team needs at least 2 "
-                f"integer members, in strictly increasing order, each below the "
-                f"pool's {n_models} models"
-            )
-        rows = max(1, _BATCH_BYTES // team_bytes(k))
-        for start in range(0, len(positions), rows):
-            batches.append((positions[start:start + rows], members[start:start + rows]))
-    return batches
 
 
 def _vote(method, total, votes, k):
@@ -286,7 +322,7 @@ def _screen_batch(rows, batch, method):
 
 def team_accuracy_table(pool, teams, method=SOFT):
     """Consensus accuracy of every team, as one float64 array in the order
-    of teams.
+    of teams: a TeamPlan or a sequence of EnsembleTeams (see team_plan).
 
     Each accuracy equals consensus on its team. Teams go in batches of one
     size; a batch's 0/1 member matrix H times the (M, 2N) screen rows gives
@@ -304,18 +340,17 @@ def team_accuracy_table(pool, teams, method=SOFT):
     Every other cell gets the exact vote consensus computes, its members'
     probability rows summed in member order and the same tie rules.
     """
-    teams = list(teams)
-    if not teams:
+    plan = team_plan(teams, pool.n_models)
+    if not len(plan):
         raise ValueError("team_accuracy_table needs at least one team")
     method = normalize_method(method)
     n = pool.n_samples
     rows = _screen_rows(pool, method)
-    correct = np.zeros(len(teams), dtype=np.int64)
-    # Per team and sample: two float64 sums and at most eight bytes of masks.
-    batches = size_batches([t.member_ids for t in teams], pool.n_models, lambda k: 24 * n)
+    correct = np.zeros(len(plan), dtype=np.int64)
     # Per exactly voted cell: at most five (C,) arrays of 8-byte values.
     cells_per_piece = max(1, _BATCH_BYTES // (40 * pool.n_classes))
-    for positions, batch in batches:
+    # Per team and sample: two float64 sums and at most eight bytes of masks.
+    for positions, batch in plan.batches(lambda k: 24 * n):
         # The batch's sums are freed before its open cells are voted.
         hits, (team, sample) = _screen_batch(rows, batch, method)
         for start in range(0, team.size, cells_per_piece):

@@ -32,6 +32,11 @@ def test_pearson_errors():
         pearson([1, 1, 1], [1, 2, 3])
     with pytest.raises(UndefinedCorrelationError):
         pearson([1, 2, 3], [5, 5, 5])
+    for xs in ([1.0, np.nan, 3.0], [1.0, np.inf, 3.0], [1e300, -1e300, 0.0]):
+        with pytest.raises(UndefinedCorrelationError, match="non-finite"):
+            pearson(xs, [1, 2, 4])
+        with pytest.raises(UndefinedCorrelationError, match="non-finite"):
+            pearson([1, 2, 4], xs)
     with pytest.raises(ValueError):
         pearson([1], [2])
     with pytest.raises(ValueError):

@@ -304,6 +304,9 @@ def test_config_file_supplies_and_cli_overrides(sim_pool, tmp_path, capsys):
     ["evaluate", "--w-alpha", "-1"],
     ["select", "--metric", "sq", "--w-alpha", "-1"],
     ["evaluate", "--neg-cap", "0"],
+    ["evaluate", "--w-epsilon", "nan"],
+    ["select", "--metric", "sq", "--w-alpha", "inf"],
+    ["select", "--metric", "sq", "--w-epsilon=-inf"],
 ])
 def test_bad_scoring_flag_is_usage_error(sim_pool, tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -370,6 +373,40 @@ def test_bad_config_is_usage_error(sim_pool, tmp_path, capsys, config, key):
     assert code == 2
     assert key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "select"])
+def test_non_finite_config_weight_is_usage_error(sim_pool, tmp_path, capsys, command):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"w_epsilon": NaN}')  # json.dumps writes NaN too
+    out = tmp_path / "out"
+    code, _, err = run(
+        [command, "--pool", str(sim_pool), "--config", str(path), "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert "bad scoring flag: weights must be finite" in err
+    assert not out.exists()
+
+
+def test_overflowing_sq_correlation_is_null(sim_pool, tmp_path, capsys):
+    """Weights near the float maximum are finite but overflow SQ scores to
+    inf; their correlation is written as null, so correlations.json stays
+    strict JSON."""
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, stdout, _ = run(
+            ["evaluate", "--pool", str(sim_pool), "--w-epsilon", "1e308", "--w-alpha", "1e308",
+             "--out", str(out)], capsys,
+        )
+    assert code == 0
+    assert "SQ pearson=undefined" in stdout
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    report = json.loads((out / "correlations.json").read_text(), parse_constant=reject)
+    assert report["SQ"] is None
+    assert all(isinstance(report[m], float) for m in ("CK", "QS", "BD", "GD", "KW"))
 
 
 def _set(key, value):

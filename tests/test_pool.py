@@ -109,6 +109,22 @@ def test_missing_files_and_small_manifests(tmp_path, write_manifest):
     with pytest.raises(PoolFormatError, match="not found"):
         load_pool(manifest)
 
+    # A data path naming a directory is not a file, not a missing one.
+    for entry, key, context in ((data["models"][0], "predictions_path", "predictions"),
+                                (data, "labels_path", "labels")):
+        entry[key] = "."
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(PoolFormatError, match=f"{context} path is not a file: "):
+            load_pool(manifest)
+
+
+def test_manifest_that_is_not_utf8_names_the_manifest(tiny_pool, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(manifest.read_bytes() + b"\xff")
+    message = f"^manifest is not UTF-8 text: {re.escape(str(manifest))}$"
+    with pytest.raises(PoolFormatError, match=message):
+        load_pool(manifest)
+
 
 @pytest.fixture
 def forked(monkeypatch):

@@ -164,6 +164,15 @@ def test_sq_aggregate_range(seed, w_eps, w_alpha):
     assert -w_alpha - 1e-12 <= breakdown.aggregate <= w_eps + w_alpha + 1e-12
 
 
+@pytest.mark.parametrize("weights", [
+    {"w_epsilon": float("nan")}, {"w_alpha": float("inf")}, {"w_epsilon": -float("inf")},
+    {"w_alpha": -0.5},
+], ids=["nan", "inf", "-inf", "negative"])
+def test_score_config_rejects_non_finite_or_negative_weights(weights):
+    with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+        ScoreConfig(**weights)
+
+
 def test_sq_score_deterministic_and_order_invariant():
     pool = random_pool(42, 4, 25, 3)
     cm = correctness(pool)

@@ -12,6 +12,7 @@ every accuracy must equal consensus on the team and the reference votes
 exactly, near-ties and vote-count ties included.
 """
 
+import re
 from itertools import combinations
 
 import numpy as np
@@ -244,6 +245,52 @@ def test_batch_paths_reject_bad_teams(ids):
     for method in (SOFT, MAJORITY):
         with pytest.raises(ValueError, match="bad team"):
             team_accuracy_table(pool, teams, method)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(2, 8))
+def test_plan_and_team_sequences_score_alike(seed, m):
+    """enumerate_teams returns a TeamPlan of per-size member arrays, the
+    combinations in order. score_teams and team_accuracy_table give the same
+    bits on the plan, on its teams as a list and on that list shuffled."""
+    rng = np.random.default_rng(seed)
+    pool = random_pool(seed, m, int(rng.integers(3, 30)), int(rng.integers(2, 5)))
+    cm = correctness(pool)
+    plan = enumerate_teams(m)
+    assert [members.tolist() for _, members in plan.groups] == [
+        [list(ids) for ids in combinations(range(m), k)] for k in range(2, m + 1)]
+    teams = list(plan)
+    assert [t.member_ids for t in teams] == [
+        ids for k in range(2, m + 1) for ids in combinations(range(m), k)]
+    order = rng.permutation(len(teams))
+    shuffled = [teams[i] for i in order]
+    paths = (*_BATCH_PATHS, (list(CLASSICAL), ScoreConfig(use_full_set=True)),
+             (["SQ"], ScoreConfig(alpha_on_labels=False)))
+    for metrics, cfg in paths:
+        try:
+            by_plan = score_teams(pool, cm, plan, metrics, cfg)
+        except UndefinedDiversityError as exc:  # a team every member always gets right
+            with pytest.raises(UndefinedDiversityError, match=re.escape(str(exc))):
+                score_teams(pool, cm, teams, metrics, cfg)
+            with pytest.raises(UndefinedDiversityError):
+                score_teams(pool, cm, shuffled, metrics, cfg)
+            continue
+        by_list = score_teams(pool, cm, teams, metrics, cfg)
+        by_shuffled = score_teams(pool, cm, shuffled, metrics, cfg)
+        for metric in metrics:
+            a, b, c = by_plan[metric], by_list[metric], by_shuffled[metric]
+            assert a.array.tobytes() == b.array.tobytes()
+            assert a.array[order].tobytes() == c.array.tobytes()
+            assert a.team_keys == b.team_keys == plan.team_keys
+            assert list(c.team_keys) == [plan.team_keys[i] for i in order]
+            assert a.team_sizes.tolist() == b.team_sizes.tolist() == plan.team_sizes.tolist()
+            assert dict(a) == dict(b) == dict(c)
+    for method in (SOFT, MAJORITY):
+        table = team_accuracy_table(pool, plan, method)
+        assert table.tobytes() == team_accuracy_table(pool, teams, method).tobytes()
+        assert table[order].tobytes() == team_accuracy_table(pool, shuffled, method).tobytes()
+    with pytest.raises(ValueError, match=f"a plan for {m + 1} models on a {m}-model pool"):
+        score_teams(pool, cm, enumerate_teams(m + 1), ["BD"])
 
 
 def test_score_teams_rejects_a_repeated_team_key():
