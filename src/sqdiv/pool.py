@@ -17,6 +17,10 @@ are taken verbatim, and a cell is read as float() reads it. A file with no
 '"', no NUL, none of \x1c-\x1f and no line past the csv field limit is
 split on line ends and commas without the csv module, which gives the same
 fields, and a model file's cells are then parsed by one np.loadtxt call.
+The labels file and every model file are read by one table reader, which
+checks the header, each row's width and that no sample id repeats, with
+the same messages whichever way it split the file; the labels reader then
+looks up each class and the model reader parses the cells.
 Where np.loadtxt refuses a cell that float() may read, and for every file
 that goes through csv.reader, the cells are parsed as float() parses them,
 a chunk of rows at a time. The writer formats each distinct probability of
@@ -257,18 +261,9 @@ def _first_bad_row(probs):
     return None
 
 
-def _first_repeat(ids):
-    """Index of the first id that occurs earlier in `ids`."""
-    seen = set()
-    for i, sid in enumerate(ids):
-        if sid in seen:
-            return i
-        seen.add(sid)
-
-
 def _line_of(path, row):
     """1-based line on which data row `row` of a CSV file starts, counting
-    rows as `_read_rows` does (header first, blank lines skipped)."""
+    rows as `_read_table` does (header first, blank lines skipped)."""
     with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         start = 1
@@ -325,12 +320,16 @@ def _read_text(path, context):
         raise PoolFormatError(f"{context} file is not UTF-8 text: {path}") from None
 
 
-def _read_rows(path, context):
-    """Header fields and data rows of a CSV file, whether each row is its
-    line, and the sha256 of the bytes they were read from. A UTF-8 byte
-    order mark is dropped and blank lines are skipped; fields are kept
-    verbatim. A row is its line, with fields line.split(","), when
-    _plain_lines reads the file, and csv.reader's list of fields otherwise."""
+def _read_table(path, context, header, model=None):
+    """The data rows of the CSV file at `path`, their sample ids, whether
+    each row is its line, and the sha256 of the bytes they were read from.
+
+    A UTF-8 byte order mark is dropped and blank lines are skipped; fields
+    are kept verbatim. A row is its line, with fields line.split(","), when
+    _plain_lines reads the file, and csv.reader's list of fields otherwise.
+    The file's header must be `header`, every row as wide and every sample
+    id its own; a fault names `model` or, without one, the labels file.
+    """
     text, digest = _read_text(path, context)
     rows = _plain_lines(text)
     plain = rows is not None
@@ -342,43 +341,49 @@ def _read_rows(path, context):
             raise PoolFormatError(f"{path}, line {reader.line_num}: {exc}") from None
     if not rows:
         raise PoolFormatError(f"{context} file is empty: {path}")
-    return (rows[0].split(",") if plain else rows[0]), rows[1:], plain, digest
 
+    def fields(row):
+        return row.split(",") if plain else row
 
-def _first_misfit(widths, width):
-    """Index of the first entry of `widths` that is not `width`, or None."""
-    widths = list(widths)
-    if set(widths) <= {width}:
-        return None
-    return next(i for i, w in enumerate(widths) if w != width)
+    rows, header_row = rows[1:], fields(rows[0])
+    # Header fields match with edge whitespace stripped on both sides, so a
+    # padded header is accepted, and a class name with edge whitespace
+    # (kept verbatim, like sample ids) still matches.
+    if [h.strip() for h in header_row] != [h.strip() for h in header]:
+        of_model = "" if model is None else f" for model {model!r}"
+        raise PoolFormatError(f"{context} header{of_model} must be {','.join(header)}: {path}")
+    where = "in labels file" if model is None else f"for model {model!r}"
+    # A line holds one comma fewer than its fields.
+    widths = list(map(str.count, rows, repeat(","))) if plain else list(map(len, rows))
+    width = len(header) - plain
+    if widths.count(width) < len(widths):
+        i = next(i for i, w in enumerate(widths) if w != width)
+        raise _fault(path, i, f"malformed row {where}: {fields(rows[i])!r}")
+    ids = [line.partition(",")[0] for line in rows] if plain else [row[0] for row in rows]
+    if len(set(ids)) < len(ids):
+        # The first row whose id an earlier row holds.
+        first_row = {}
+        i = next(i for i, sid in enumerate(ids) if first_row.setdefault(sid, i) != i)
+        raise _fault(path, i, f"duplicate sample_id {ids[i]!r} {where}")
+    return rows, ids, plain, digest
 
 
 def _read_labels(path, classes):
-    """The labels file as ({sample_id: position}, truth class indices, the
-    sha256 of its bytes)."""
-    header, rows, plain, digest = _read_rows(path, "labels")
-    if plain:
-        rows = [line.split(",") for line in rows]
-    if [h.strip() for h in header] != ["sample_id", "true_label"]:
-        raise PoolFormatError(f"labels header must be sample_id,true_label: {path}")
+    """The labels file as (sample ids, truth class indices, the sha256 of
+    its bytes)."""
+    rows, ids, plain, digest = _read_table(path, "labels", ["sample_id", "true_label"])
     if not rows:
         raise PoolFormatError(f"labels file has no rows: {path}")
-    i = _first_misfit(map(len, rows), 2)
-    if i is not None:
-        raise _fault(path, i, f"malformed row in labels file: {rows[i]!r}")
-    ids = [row[0] for row in rows]
-    index = dict(zip(ids, range(len(ids))))
-    if len(index) < len(ids):
-        i = _first_repeat(ids)
-        raise _fault(path, i, f"duplicate sample_id {ids[i]!r} in labels file")
+    # Each plain row is a line that holds exactly one comma.
+    labels = ",".join(rows).split(",")[1::2] if plain else [row[1] for row in rows]
     class_to_index = {c: k for k, c in enumerate(classes)}
-    truth = [class_to_index.get(row[1]) for row in rows]
+    truth = list(map(class_to_index.get, labels))
     if None in truth:
         i = truth.index(None)
         raise _fault(
-            path, i, f"unknown class label {rows[i][1]!r} for sample {ids[i]!r}"
+            path, i, f"unknown class label {labels[i]!r} for sample {ids[i]!r}"
         )
-    return index, np.array(truth, dtype=np.int64), digest
+    return ids, np.array(truth, dtype=np.int64), digest
 
 
 # Rows parsed per np.array call of the cell-by-cell parse, which bounds the
@@ -426,28 +431,8 @@ def _read_predictions(path, classes, model):
     ids, number parsing, entries in range, row sums. The first fault found
     is reported with the file, the line and the model.
     """
-    header, rows, plain, digest = _read_rows(path, "predictions")
-    expected = ["sample_id"] + [f"p_{c}" for c in classes]
-    # Header fields match with edge whitespace stripped on both sides, so a
-    # padded header is accepted as in the labels file, and a class name
-    # with edge whitespace (kept verbatim, like sample ids) still matches.
-    if [h.strip() for h in header] != [e.strip() for e in expected]:
-        raise PoolFormatError(
-            f"predictions header for model {model!r} must be "
-            f"{','.join(expected)}: {path}"
-        )
-    width = len(expected)
-    if plain:
-        i = _first_misfit(map(str.count, rows, repeat(",")), width - 1)
-    else:
-        i = _first_misfit(map(len, rows), width)
-    if i is not None:
-        fields = rows[i].split(",") if plain else rows[i]
-        raise _fault(path, i, f"malformed row for model {model!r}: {fields!r}")
-    ids = [line.partition(",")[0] for line in rows] if plain else [row[0] for row in rows]
-    if len(set(ids)) < len(ids):
-        i = _first_repeat(ids)
-        raise _fault(path, i, f"duplicate sample_id {ids[i]!r} for model {model!r}")
+    header = ["sample_id"] + [f"p_{c}" for c in classes]
+    rows, ids, plain, digest = _read_table(path, "predictions", header, model)
     block = None
     if plain and rows:
         # np.loadtxt accepts no cell that float() refuses in a plain file
@@ -455,7 +440,7 @@ def _read_predictions(path, classes, model):
         # accept one; it refuses some that float() reads, such as '0.2_5'.
         try:
             block = np.loadtxt(rows, dtype=np.float64, delimiter=",", comments=None,
-                               usecols=range(1, width), ndmin=2)
+                               usecols=range(1, len(header)), ndmin=2)
         except ValueError:
             pass
     if block is None:
@@ -468,7 +453,7 @@ def _read_predictions(path, classes, model):
 
 
 def _read_manifest(path):
-    """The manifest's (classes, labels path, model entries), shape-checked,
+    """The manifest's (classes, labels path, ModelRecords), shape-checked,
     and the sha256 of the bytes they were read from."""
     if not path.is_file():
         raise PoolFormatError(f"manifest not found: {path}")
@@ -499,6 +484,7 @@ def _read_manifest(path):
         raise PoolFormatError(f"manifest key 'labels_path' must be a string: {path}")
     if not isinstance(entries, list) or len(entries) < 2:
         raise PoolFormatError(f"manifest must reference at least 2 model files: {path}")
+    models = []
     for position, entry in enumerate(entries):
         where = f"manifest key 'models' entry {position}"
         if not isinstance(entry, dict):
@@ -510,10 +496,11 @@ def _read_manifest(path):
             raise PoolFormatError(
                 f"{where}: 'predictions_path' must be a non-empty string: {path}"
             )
+        models.append(ModelRecord(position, str(entry.get("name", f"model-{position}")), rel))
     declared = [e.get("id") for e in entries]
     if len(set(declared)) != len(declared):
         raise PoolFormatError(f"duplicate model ids in manifest: {path}")
-    return classes, labels_path, entries, hashlib.sha256(data).digest()
+    return classes, labels_path, models, hashlib.sha256(data).digest()
 
 
 # Model files totalling fewer bytes than this are read or written by the
@@ -745,30 +732,23 @@ def load_pool(manifest_path):
     every input file (see the module docstring).
     """
     manifest_path = Path(manifest_path)
-    classes, labels_path, entries, manifest_digest = _read_manifest(manifest_path)
+    classes, labels_path, models, manifest_digest = _read_manifest(manifest_path)
     base = manifest_path.parent
-    names = [str(entry.get("name", f"model-{position}"))
-             for position, entry in enumerate(entries)]
-    paths = [base / entry["predictions_path"] for entry in entries]
-    index, truth, labels_digest = _read_labels(base / labels_path, classes)
+    paths = [base / rec.predictions_path for rec in models]
+    sample_ids, truth, labels_digest = _read_labels(base / labels_path, classes)
     # Each digest is of the bytes parsed (or, on a hit, of the bytes the
     # entry was stored for), so an entry always holds what its key's bytes
     # parse to, whatever changes while this runs.
     digests = [manifest_digest, labels_digest]
-    shape = (len(entries), len(index), len(classes))
+    shape = (len(models), len(sample_ids), len(classes))
     probs = _cached_probs(manifest_path, digests, paths, shape)
     parsed = probs is None
     if parsed:
-        probs, model_digests = _read_models(paths, names, classes, index)
-    models = [
-        ModelRecord(model_id=position, name=name, predictions_path=entry["predictions_path"])
-        for position, (name, entry) in enumerate(zip(names, entries))
-    ]
-
+        probs, model_digests = _read_models(paths, models, classes, sample_ids)
     pool = PredictionPool(
         models=tuple(models),
         classes=tuple(classes),
-        sample_ids=tuple(index),
+        sample_ids=tuple(sample_ids),
         truth=truth,
         probs=probs,
     )
@@ -778,16 +758,17 @@ def load_pool(manifest_path):
     return pool
 
 
-def _read_models(paths, names, classes, index):
-    """The (M, N, C) tensor of the model files at `paths`, their rows placed
-    by `index`, {sample_id: position}, and the sha256 of each file's bytes."""
-    sample_ids = list(index)
+def _read_models(paths, models, classes, sample_ids):
+    """The (M, N, C) tensor of the model files at `paths`, of the
+    ModelRecords `models`, their rows placed in the order of `sample_ids`,
+    and the sha256 of each file's bytes."""
+    index = dict(zip(sample_ids, range(len(sample_ids))))
 
     def read(position):
         """Model file `position`'s block, the pool row of each of its rows,
         or None when its rows are in the labels file's order, and the sha256
         of its bytes."""
-        name, path = names[position], paths[position]
+        name, path = models[position].name, paths[position]
         ids, block, digest = _read_predictions(path, classes, name)
         if ids == sample_ids:
             return block, None, digest

@@ -328,15 +328,22 @@ class _FocalTables:
                 eps[:, j] = row_mean(self.acc[focal, others])
                 if k > 2:
                     alpha[:, j] = row_mean(self.kappa[focal, others[:, ia], others[:, ib]])
-            combined = cfg.w_epsilon * eps + cfg.w_alpha * alpha
-            evaluated = self.counts[members] > 0
-            n_evaluated = evaluated.sum(axis=1)
-            aggregate = np.zeros(t)
-            # A set, not np.unique, which imports numpy.ma on numpy 2.
-            for e in set(n_evaluated.tolist()) - {0}:
-                rows = np.flatnonzero(n_evaluated == e)
-                kept = combined[rows][evaluated[rows]].reshape(rows.size, e)
-                aggregate[rows] = row_mean(kept)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    combined = cfg.w_epsilon * eps + cfg.w_alpha * alpha
+                    evaluated = self.counts[members] > 0
+                    n_evaluated = evaluated.sum(axis=1)
+                    aggregate = np.zeros(t)
+                    # A set, not np.unique, which imports numpy.ma on numpy 2.
+                    for e in set(n_evaluated.tolist()) - {0}:
+                        rows = np.flatnonzero(n_evaluated == e)
+                        kept = combined[rows][evaluated[rows]].reshape(rows.size, e)
+                        aggregate[rows] = row_mean(kept)
+            except FloatingPointError:
+                raise ValueError(
+                    f"SQ weights w_epsilon={cfg.w_epsilon!r} and w_alpha={cfg.w_alpha!r} "
+                    "overflow the SQ score"
+                ) from None
             yield positions, members, eps, alpha, combined, aggregate
 
     def scores(self, plan, cfg):
@@ -384,7 +391,8 @@ def score_teams(pool, cm, teams, metrics, cfg=ScoreConfig()):
     team's SQBreakdown. Classical-metric errors on a degenerate team abort
     the sweep naming the first such team in input order. Raises ValueError,
     before any scoring, for a team key that appears twice and for a team
-    that teams.team_plan rejects.
+    that teams.team_plan rejects; and, naming the SQ weights, when an SQ
+    score overflows the float range.
     """
     plan = team_plan(teams, cm.n_models)
     metrics = [normalize_metric(m) for m in metrics]

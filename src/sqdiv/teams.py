@@ -64,7 +64,8 @@ class EnsembleTeam:
 
 
 def team_key_for(member_ids, n_models):
-    return ("" if n_models <= 10 else "-").join(map(str, sorted(map(int, member_ids))))
+    """The key of a team whose member ids, sorted ints, are `member_ids`."""
+    return ("" if n_models <= 10 else "-").join(map(str, member_ids))
 
 
 def make_team(team, n_models):

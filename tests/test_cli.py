@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +323,8 @@ _SIZE_FLAGS = (["--min-size", "1"], ["--max-size", "99"], ["--min-size", "5", "-
 @pytest.mark.parametrize("argv", [
     *([command, *flags] for command in ("evaluate", "select") for flags in _SIZE_FLAGS),
     ["evaluate", "--metrics", "sq,SQ"],
+    ["evaluate", "--metrics", ","],
+    ["select", "--topk", "0"],
     ["simulate", "--base-accuracy", "0.9:abc"],
     ["simulate", "--neg-cap", "5"],
     ["inspect", "--team", "01", "--sample", "s00000", "--w-alpha", "3"],
@@ -389,13 +392,13 @@ def test_non_finite_config_weight_is_usage_error(sim_pool, tmp_path, capsys, com
 
 
 def test_overflowing_sq_correlation_is_null(sim_pool, tmp_path, capsys):
-    """Weights near the float maximum are finite but overflow SQ scores to
-    inf; their correlation is written as null, so correlations.json stays
-    strict JSON."""
+    """Weights of 1e200 give finite SQ scores whose variance overflows; their
+    correlation is written as null, so correlations.json stays strict JSON."""
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, stdout, _ = run(
-            ["evaluate", "--pool", str(sim_pool), "--w-epsilon", "1e308", "--w-alpha", "1e308",
+            ["evaluate", "--pool", str(sim_pool), "--w-epsilon", "1e200", "--w-alpha", "1e200",
              "--out", str(out)], capsys,
         )
     assert code == 0
@@ -407,6 +410,41 @@ def test_overflowing_sq_correlation_is_null(sim_pool, tmp_path, capsys):
     report = json.loads((out / "correlations.json").read_text(), parse_constant=reject)
     assert report["SQ"] is None
     assert all(isinstance(report[m], float) for m in ("CK", "QS", "BD", "GD", "KW"))
+
+
+@pytest.mark.parametrize("command", ["evaluate", "select"])
+def test_sq_weights_that_overflow_a_score_are_an_error(sim_pool, tmp_path, capsys, command):
+    """Weights near the float maximum are finite, but the SQ score they give
+    is not: the run fails with one line naming the weights, before --out."""
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(
+            [command, "--pool", str(sim_pool), "--w-epsilon", "1e308", "--w-alpha", "1e308",
+             "--out", str(out)], capsys,
+        )
+    assert code == 1
+    assert err == ("error: SQ weights w_epsilon=1e+308 and w_alpha=1e+308 overflow "
+                   "the SQ score\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "config file not found: "),
+    ("{", "config file is not valid JSON: "),
+    ("[1]", "config file must hold a JSON object"),
+], ids=["missing", "invalid-json", "not-an-object"])
+def test_unreadable_config_is_usage_error(sim_pool, tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    code, _, err = run(
+        ["select", "--pool", str(sim_pool), "--config", str(path), "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert err.startswith(f"usage error: {message}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def _set(key, value):

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 import sqdiv.pool as sqpool
 from sqdiv.pool import (
+    ModelRecord,
     PoolFormatError,
+    PredictionPool,
     _plain_lines,
     correctness,
     load_pool,
@@ -116,6 +118,61 @@ def test_missing_files_and_small_manifests(tmp_path, write_manifest):
         manifest.write_text(json.dumps(data))
         with pytest.raises(PoolFormatError, match=f"{context} path is not a file: "):
             load_pool(manifest)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: "{", "manifest is not valid JSON: {}: Expecting property name"),
+    (lambda text: "[]", "manifest must hold a JSON object: {}"),
+    (lambda text: text.replace('"labels_path"', '"labels"'), "manifest missing key 'labels_path': {}"),
+    (lambda text: text.replace('"b"', '"a"'), "manifest must list at least 2 distinct classes: {}"),
+    (lambda text: text.replace('"preds_1.csv"', '""'),
+     "manifest key 'models' entry 1: 'predictions_path' must be a non-empty string: {}"),
+    (lambda text: text.replace('"id": 1', '"id": 0'), "duplicate model ids in manifest: {}"),
+], ids=["invalid-json", "not-an-object", "missing-key", "one-class", "empty-path", "repeated-id"])
+def test_manifest_faults_name_the_manifest(write_manifest, edit, message):
+    manifest = write_manifest(
+        classes=["a", "b"],
+        labels=[("s1", "a")],
+        model_rows=[{"s1": (1.0, 0.0)}, {"s1": (1.0, 0.0)}],
+    )
+    manifest.write_text(edit(manifest.read_text()))
+    with pytest.raises(PoolFormatError) as info:
+        load_pool(manifest)
+    assert str(info.value).startswith(message.format(manifest))
+
+
+def _pool_args(**changes):
+    """PredictionPool's arguments for a valid 2 x 2 x 2 pool, with `changes`."""
+    args = dict(
+        models=tuple(ModelRecord(i, f"m{i}", "") for i in range(2)),
+        classes=("a", "b"),
+        sample_ids=("x", "y"),
+        truth=[0, 1],
+        probs=np.full((2, 2, 2), 0.5),
+    )
+    return {**args, **changes}
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"models": (ModelRecord(0, "m0", ""),)}, "a pool needs at least 2 models"),
+    ({"classes": ("a",)}, "a pool needs at least 2 classes"),
+    ({"sample_ids": (), "truth": []}, "a pool needs at least 1 sample"),
+    ({"probs": np.full((2, 2, 3), 1 / 3)},
+     "probs shape (2, 2, 3) does not match 2 models x 2 samples x 2 classes"),
+    ({"truth": [0]}, "truth length does not match sample count"),
+    ({"classes": ("a", "a")}, "duplicate class names"),
+    ({"sample_ids": ("x", "x")}, "duplicate sample ids"),
+    ({"models": (ModelRecord(1, "m1", ""), ModelRecord(0, "m0", ""))},
+     "model ids must be 0..M-1 in order"),
+    ({"truth": [0, 2]}, "truth entry is not a valid class index"),
+    ({"truth": [-1, 0]}, "truth entry is not a valid class index"),
+], ids=["one-model", "one-class", "no-sample", "shape", "truth-length", "repeated-class",
+        "repeated-sample", "model-order", "truth-too-high", "truth-negative"])
+def test_constructor_rejects_inconsistent_pools(changes, message):
+    PredictionPool(**_pool_args())
+    with pytest.raises(PoolFormatError) as info:
+        PredictionPool(**_pool_args(**changes))
+    assert str(info.value) == message
 
 
 def test_manifest_that_is_not_utf8_names_the_manifest(tiny_pool, tmp_path):
@@ -224,7 +281,8 @@ def _check_malformed_rows(write_manifest, tmp_path, forked):
     assert located(message, 2) and "cannot parse 'oops'" in message
     message = fault("sample_id,p_a,p_b\ns1,0.5\n", "malformed row")
     assert located(message, 2) and "['s1', '0.5']" in message
-    fault("sample_id,p_wat,p_b\ns1,0.5,0.5\n", "header")
+    message = fault("sample_id,p_wat,p_b\ns1,0.5,0.5\n", "header")
+    assert message == f"predictions header for model 'model-0' must be sample_id,p_a,p_b: {bad}"
     message = fault("sample_id,p_a,p_b\ns1,0.5,0.5\ns1,0.5,0.5\n", "duplicate sample_id")
     assert located(message, 3) and "'s1'" in message
     message = fault("sample_id,p_a,p_b\ns1,-0.2,1.2\n", "out of range")
@@ -272,6 +330,24 @@ def _check_malformed_rows(write_manifest, tmp_path, forked):
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith(f"{labels}, line {line}: ")
+    for body in ("sample_id,label\ns1,a\n", 'sample_id,label\ns1,a\n"q",a\n'):
+        labels.write_text(body)
+        with pytest.raises(PoolFormatError) as info:
+            load_pool(manifest)
+        assert str(info.value) == f"labels header must be sample_id,true_label: {labels}"
+    # A file with no non-blank line holds no '"' (one would make a row), so
+    # its csv.reader twin is the same file read with _plain_lines off.
+    labels.write_text("sample_id,true_label\ns1,a\n")
+    for path, context in ((labels, "labels"), (bad, "predictions")):
+        kept = path.read_bytes()
+        path.write_text("\n\r\n\n")
+        for plain_lines in (sqpool._plain_lines, lambda text: None):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sqpool, "_plain_lines", plain_lines)
+                with pytest.raises(PoolFormatError) as info:
+                    load_pool(manifest)
+            assert str(info.value) == f"{context} file is empty: {path}"
+        path.write_bytes(kept)
     assert _cache_files(manifest) == warm
 
 

@@ -13,6 +13,7 @@ exactly, near-ties and vote-count ties included.
 """
 
 import re
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -305,6 +306,33 @@ def test_score_teams_rejects_a_repeated_team_key():
             with pytest.raises(ValueError, match="team key '01' repeated"):
                 score_teams(pool, cm, teams, metrics, cfg)
     assert team_accuracy_table(pool, [a, b, a]).shape == (3,)
+
+
+def test_score_teams_rejects_repeated_metrics():
+    pool = generate(default_spec(n_models=4, n_samples=50, n_classes=3, seed=1))
+    with pytest.raises(ValueError, match="^duplicate metrics requested$"):
+        score_teams(pool, correctness(pool), enumerate_teams(4), ["sq", "CK", "SQ"])
+
+
+def test_sq_weights_that_overflow_a_score_are_rejected():
+    """Finite weights near the float maximum overflow SQ's per-focal sum and
+    team mean: score_teams raises naming the weights, and warns of nothing.
+    The classical metrics take no weight and score as before."""
+    pool = generate(default_spec(n_models=4, n_samples=50, n_classes=3, seed=1))
+    cm, plan = correctness(pool), enumerate_teams(4)
+    cfg = ScoreConfig(w_epsilon=1e308, w_alpha=1e308)
+    message = r"^SQ weights w_epsilon=1e\+308 and w_alpha=1e\+308 overflow the SQ score$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for metrics in (["SQ"], ["CK", "SQ"]):
+            with pytest.raises(ValueError, match=message):
+                score_teams(pool, cm, plan, metrics, cfg)
+        with pytest.raises(ValueError, match=message):
+            score_team(pool, cm, list(plan)[-1], "SQ", cfg)
+        classical = score_teams(pool, cm, plan, ["CK", "KW"], cfg)
+    expected = score_teams(pool, cm, plan, ["CK", "KW"])
+    for metric in ("CK", "KW"):
+        assert classical[metric].array.tobytes() == expected[metric].array.tobytes()
 
 
 def test_column_membership_reads_team_keys():

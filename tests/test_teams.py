@@ -35,6 +35,10 @@ def test_make_team_validation():
         make_team([1, 7], 5)
     with pytest.raises(ValueError, match="malformed"):
         parse_team_key("1-x")
+    with pytest.raises(ValueError, match="^empty team key$"):
+        parse_team_key("")
+    with pytest.raises(ValueError, match="^duplicate member ids in team key: '1-1'$"):
+        parse_team_key("1-1")
 
 
 @pytest.mark.parametrize("ids", [
