@@ -22,16 +22,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .analytics import UndefinedCorrelationError, case_study, pearson, spearman, sweep
-from .pool import PoolFormatError, correctness, load_pool, write_pool
-from .qmetrics import UndefinedDiversityError
+from .analytics import case_study, pearson, spearman, sweep
+from .pool import correctness, load_pool, write_pool
 from .scoring import ScoreConfig, normalize_metric
 from .selection import select_and_evaluate
 from .synth import SynthSpec, contiguous_groups, generate, planted_best_team
@@ -215,13 +213,6 @@ def _out_dir(args):
     return out
 
 
-def _write_csv(path, columns, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-
-
 def _write_json(path, record):
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -320,10 +311,13 @@ def cmd_select(args):
         min_size=args.min_size, max_size=args.max_size,
     )
     path = _out_dir(args) / f"selection_{metric.lower()}.csv"
-    _write_csv(path, SELECTION_COLUMNS, (
-        (r.rank, r.team_key, r.metric, r.score, r.ensemble_accuracy,
-         r.best_single_accuracy, r.improvement) for r in report.rows
-    ))
+    # Written as evaluate writes its scatter rows: ranks, team keys, metric
+    # names and float reprs never need quotes.
+    rows = [SELECTION_COLUMNS, *((
+        r.rank, r.team_key, r.metric, r.score, r.ensemble_accuracy,
+        r.best_single_accuracy, r.improvement) for r in report.rows)]
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows),
+                    encoding="utf-8", newline="")
     top = report.rows[0]
     print(
         f"{metric} top1 team={top.team_key} acc={top.ensemble_accuracy:.4f} "
@@ -372,9 +366,8 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except (PoolFormatError, UndefinedDiversityError, UndefinedCorrelationError,
-            OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return _EXIT_FAILURE
 
 

@@ -14,9 +14,10 @@ labels file fixes the canonical sample order. Relative paths in the manifest
 resolve against the manifest's directory. A CSV file may start with a UTF-8
 byte order mark, end its lines in \n or \r\n and hold blank lines; fields
 are taken verbatim, and a cell is read as float() reads it. A file with no
-'"', no NUL, none of \x1c-\x1f and no line past the csv field limit is
-split on line ends and commas without the csv module, which gives the same
-fields, and a model file's cells are then parsed by one np.loadtxt call.
+'"', no NUL, none of \x1c-\x1f, no line break but \r and \n, and no line
+past the csv field limit is split on line ends and commas without the csv
+module, which gives the same fields, and a model file's cells are then
+parsed by one np.loadtxt call.
 The labels file and every model file are read by one table reader, which
 checks the header, each row's width and that no sample id repeats, with
 the same messages whichever way it split the file; the labels reader then
@@ -28,8 +29,10 @@ a chunk of rows once and writes the chunk's lines as one string.
 
 When the model files total at least _SPREAD_BYTES and no other Python
 thread runs, load_pool and write_pool share them out among forked worker
-processes, one per CPU the process may use; the values read, the bytes
-written and the first error raised are those of the serial loop.
+processes, one per CPU the process may use. Unless every worker and the
+caller's own share succeed whole, the serial loop runs over every file, so
+the values read, the bytes written and the first error raised are always
+those of the serial loop.
 
 Beside each manifest, .sqdiv-cache/ holds at most one entry per manifest
 file name: the pool's (M, N, C) probability tensor as an .npy file, saved
@@ -281,12 +284,11 @@ def _fault(path, row, message):
 
 
 # Characters that send a file to csv.reader: '"' and NUL, which the csv
-# module treats apart, and the four that np.loadtxt strips from a cell's
-# edges as whitespace where float() refuses the cell.
-_CSV_ONLY = '"\0\x1c\x1d\x1e\x1f'
-# Line breaks of str.splitlines, besides \r, \n and the \x1c-\x1e of
-# _CSV_ONLY, that csv.reader does not break a line at.
-_OTHER_BREAKS = "\x0b\x0c\x85\u2028\u2029"
+# module treats apart, the four that np.loadtxt strips from a cell's edges
+# as whitespace where float() refuses the cell (\x1c-\x1e also break
+# lines in str.splitlines), and the other line breaks of str.splitlines
+# besides \r and \n, which csv.reader does not break a line at.
+_CSV_ONLY = '"\0\x1c\x1d\x1e\x1f\x0b\x0c\x85\u2028\u2029'
 
 
 def _plain_lines(text):
@@ -296,11 +298,7 @@ def _plain_lines(text):
     with newline="", are exactly these lines split on ','."""
     if any(c in text for c in _CSV_ONLY):
         return None
-    if any(c in text for c in _OTHER_BREAKS):
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    else:
-        lines = text.splitlines()
-    lines = list(filter(None, lines))
+    lines = list(filter(None, text.splitlines()))
     if lines and max(map(len, lines)) > csv.field_size_limit():
         return None
     return lines
@@ -515,8 +513,6 @@ _SPREAD_BYTES = 1 << 20
 # Bytes of model-file text per probability of a `simulate` pool: a
 # 17-digit repr and its comma, plus the row's share of its id.
 _CELL_TEXT_BYTES = 20
-# An item of _spread with no result yet.
-_PENDING = object()
 
 
 def _spread(func, items, nbytes):
@@ -525,9 +521,9 @@ def _spread(func, items, nbytes):
     _SPREAD_BYTES.
 
     Worker w of W (the caller is worker 0) runs items w, w + W, ... in
-    order up to its first exception and sends back the results it has.
-    Every item left without a result, whether its worker raised, crashed or
-    was killed, is then run here in order, so the first exception raised is
+    order and sends back all its results, or none. Unless every worker was
+    forked and sent its results and the caller's own items raised nothing,
+    every item is then run here in order, so the first exception raised is
     the serial loop's. No worker outlives the call.
     """
     items = list(items)
@@ -540,25 +536,27 @@ def _spread(func, items, nbytes):
     if workers < 2:
         return [func(item) for item in items]
 
-    results = [_PENDING] * len(items)
+    sent = {}  # worker -> its results, for each that succeeded whole
     with contextlib.ExitStack() as children:
         for w in range(1, workers):
             try:
                 pid, fd = _fork_worker(func, items[w::workers])
             except OSError:
-                break  # no process or pipe to spare: the items left are run below
-            children.callback(_collect, pid, fd, results, w, workers)
-        try:
-            for i in range(0, len(items), workers):
-                results[i] = func(items[i])
-        except Exception:
-            pass  # raised again below, unless an earlier item fails first
-    return [func(item) if r is _PENDING else r for item, r in zip(items, results)]
+                break  # no process or pipe to spare: every item is run below
+            children.callback(_collect, pid, fd, sent, w)
+        with contextlib.suppress(Exception):  # raised again by the serial loop
+            sent[0] = [func(item) for item in items[::workers]]
+    if len(sent) < workers:
+        return [func(item) for item in items]
+    results = [None] * len(items)
+    for w, done in sent.items():
+        results[w::workers] = done
+    return results
 
 
 def _fork_worker(func, share):
-    """Fork a worker that runs `func` over `share` in order, up to its first
-    exception, and pickles the list of results it has into a pipe; returns
+    """Fork a worker that runs `func` over `share` in order and pickles the
+    list of results into a pipe, or exits 1 at its first exception; returns
     (pid, read end of the pipe)."""
     read_fd, write_fd = os.pipe()
     try:
@@ -582,12 +580,7 @@ def _fork_worker(func, share):
     status = 1
     try:
         os.close(read_fd)
-        done = []
-        try:
-            for item in share:
-                done.append(func(item))
-        except Exception:
-            pass  # the parent runs this item again and raises its exception
+        done = [func(item) for item in share]
         with os.fdopen(write_fd, "wb") as pipe:
             pickle.dump(done, pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
@@ -595,9 +588,9 @@ def _fork_worker(func, share):
         os._exit(status)
 
 
-def _collect(pid, fd, results, w, workers):
-    """Read worker `w`'s pipe to its end, reap the worker, and place the
-    results it sent, if it exited cleanly, at items w, w + workers, ..."""
+def _collect(pid, fd, sent, w):
+    """Read worker `w`'s pipe to its end, reap the worker, and keep the
+    results it sent, if it exited cleanly, as sent[w]."""
     try:
         with os.fdopen(fd, "rb") as pipe:
             data = pipe.read()
@@ -607,14 +600,11 @@ def _collect(pid, fd, results, w, workers):
         except ChildProcessError:
             status = None
     if status == 0 and data:
-        done = pickle.loads(data)
-        results[w:w + workers * len(done):workers] = done
+        sent[w] = pickle.loads(data)
 
 
-# The directory beside a manifest that holds its cache entry, and the bytes
-# read at a time to hash a file.
+# The directory beside a manifest that holds its cache entry.
 _CACHE_DIR = ".sqdiv-cache"
-_HASH_BLOCK = 1 << 20
 
 
 @functools.cache
@@ -627,12 +617,8 @@ def _cache_tag():
 
 
 def _file_digest(path):
-    """sha256 of the file at `path`, read a block at a time."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(_HASH_BLOCK), b""):
-            digest.update(block)
-    return digest.digest()
+    """sha256 of the file at `path`, read whole as _read_text reads it."""
+    return hashlib.sha256(Path(path).read_bytes()).digest()
 
 
 def _pool_key(digests):

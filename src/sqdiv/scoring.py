@@ -96,10 +96,11 @@ class ScoreConfig:
 
     w_epsilon and w_alpha weight the two SQ components and must be finite
     and non-negative. negative_cap, when set, caps every negative sample
-    set at a uniform subset of that size drawn from seed. use_full_set
-    evaluates the classical metrics on all samples instead of the team's
-    negative samples. alpha_on_labels switches SQ's agreement component
-    between predicted labels (default) and correctness outcomes.
+    set at a uniform subset of that size drawn from seed, a non-negative
+    integer. use_full_set evaluates the classical metrics on all samples
+    instead of the team's negative samples. alpha_on_labels switches SQ's
+    agreement component between predicted labels (default) and correctness
+    outcomes.
     """
 
     w_epsilon: float = 1.0
@@ -114,6 +115,8 @@ class ScoreConfig:
             raise ValueError("weights must be finite and non-negative")
         if self.negative_cap is not None and self.negative_cap < 1:
             raise ValueError("negative_cap must be a positive integer")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 class ScoreColumn(Mapping):
@@ -195,7 +198,8 @@ def _classical(cm, plan, metrics, cfg):
     capped = cfg.negative_cap is not None and not cfg.use_full_set
     n = cm.n_samples - removed
     if capped:
-        n = np.minimum(n, cfg.negative_cap)
+        # A cap of at least N keeps every sample, however far past int64.
+        n = np.minimum(n, min(cfg.negative_cap, cm.n_samples))
     empty = np.flatnonzero(n == 0)
     if empty.size:
         raise _undefined(metrics, plan.team_keys[empty[0]])

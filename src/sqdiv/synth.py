@@ -73,6 +73,8 @@ class SynthSpec:
             raise ValueError("complement_strength must lie in [0, 1]")
         if not 1.0 / self.n_classes < self.peak_mass <= 1.0:
             raise ValueError("peak_mass must lie in (1/C, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         boost = 1.0 + self.complement_strength * (len(self.groups) - 1)
         worst = max(1.0 - a for a in self.base_accuracy) * boost
         if worst > 1.0:

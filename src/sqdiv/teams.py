@@ -12,16 +12,16 @@ which team_plan checks by make_team's rule and turns into a plan once.
 
 There is one vote step: a team's member probability rows are summed in
 member order and _vote applies the tie rules. team_accuracy_table runs it
-only on the (team, sample) cells a screen leaves open. The screen sums, per
-cell, one number per member whose total bounds the truth class's lead over
-every other class from below (surely right above 0) and its lead over one
-rival class from above (surely wrong below 0). Majority vote counts are
-integers, so their screen is exact. Soft-voting sums are floats, so a cell
-is decided only when its sum clears 0 by _DELTA = 1e-9. A float sum over k
-members of values in [-1, 1] is off by less than k * k * 1.2e-16 (3e-14 for
-16 members), both in the screen and in the exact vote's class sums, so a
-decided cell is never a near-tie and the exact vote cannot disagree with
-it, the lowest-index tie rule included.
+only on the (team, sample) cells a screen does not prove right. The screen
+sums, per cell, numbers per member whose totals bound the truth class's
+lead over every other class from below: the cell is surely right when they
+are above 0. Majority vote counts are integers, so their screen is exact.
+Soft-voting sums are floats, so a cell is proven right only when its sum
+exceeds _DELTA = 1e-9. A float sum over k members of values in [-1, 1] is
+off by less than k * k * 1.2e-16 (3e-14 for 16 members), both in the
+screen and in the exact vote's class sums, so a proven cell is never a
+near-tie and the exact vote cannot disagree with it, the lowest-index tie
+rule included.
 """
 
 from __future__ import annotations
@@ -272,14 +272,13 @@ def _rival(scores, truth):
 
 
 def _screen_rows(pool, method):
-    """(M, 2N) per-model rows whose sums over a team screen its cells.
+    """Per-model rows whose sums over a team screen its cells.
 
-    Soft voting: the margin p[truth] - max over wrong classes of p, then the
-    gap p[truth] - p[rival], where rival is the wrong class with the most
-    probability over the pool. Majority voting, with t and r the 0/1 votes
-    for the truth and for the rival, the wrong class with the most votes
-    over the pool: t - r, then 2t + r. Each row is built from one model's
-    (N, C) block, never from a copy of the whole pool.
+    Soft voting: (M, N), the margin p[truth] - max over wrong classes of p,
+    each row built from one model's (N, C) block, never from a copy of the
+    whole pool. Majority voting: (M, 2N), with t and r the 0/1 votes for
+    the truth and for the rival, the wrong class with the most votes over
+    the pool: t - r, then 2t + r.
     """
     truth, n = pool.truth, pool.n_samples
     cells = np.arange(n)
@@ -291,34 +290,28 @@ def _screen_rows(pool, method):
         t = (labels == truth).astype(np.float64)
         r = (labels == _rival(counts, truth)).astype(np.float64)
         return np.concatenate([t - r, 2 * t + r], axis=1)
-    rival = _rival(pool.probs.sum(axis=0), truth)
-    rows = np.empty((pool.n_models, 2 * n))
+    rows = np.empty((pool.n_models, n))
     for m, probs in enumerate(pool.probs):
-        right = probs[cells, truth]
         wrong = probs.copy()
         wrong[cells, truth] = -np.inf
-        rows[m, :n] = right - wrong.max(axis=1)
-        rows[m, n:] = right - probs[cells, rival]
+        rows[m] = probs[cells, truth] - wrong.max(axis=1)
     return rows
 
 
 def _screen_batch(rows, batch, method):
     """Screen one batch of teams of one size with _screen_rows: per team,
     the count of cells surely right, and the (team, sample) indices of the
-    open cells."""
+    other cells."""
     t, k = batch.shape
     held = np.zeros((t, len(rows)))
     held[np.arange(t)[:, None], batch] = 1.0
     sums = held @ rows
-    n = sums.shape[1] // 2
-    first, second = sums[:, :n], sums[:, n:]
     if method == SOFT:
-        right = first > _DELTA
-        wrong = second < -_DELTA
+        right = sums > _DELTA
     else:
-        right = (first > 0) & (second > k)
-        wrong = first < 0
-    return right.sum(axis=1), np.nonzero(~(right | wrong))
+        n = sums.shape[1] // 2
+        right = (sums[:, :n] > 0) & (sums[:, n:] > k)
+    return right.sum(axis=1), np.nonzero(~right)
 
 
 def team_accuracy_table(pool, teams, method=SOFT):
@@ -326,17 +319,15 @@ def team_accuracy_table(pool, teams, method=SOFT):
     of teams: a TeamPlan or a sequence of EnsembleTeams (see team_plan).
 
     Each accuracy equals consensus on its team. Teams go in batches of one
-    size; a batch's 0/1 member matrix H times the (M, 2N) screen rows gives
-    two sums per (team, sample) cell, which decide most cells outright:
+    size; a batch's 0/1 member matrix H times the screen rows gives sums
+    per (team, sample) cell that prove most cells right outright:
 
-    - soft voting: surely right when the summed margins exceed _DELTA,
-      surely wrong when the summed gaps fall below -_DELTA. The threshold
-      is far above the rounding of these sums and of the exact vote's
-      class sums, so no exact vote could decide such a cell otherwise;
+    - soft voting: the summed margins exceed _DELTA. The threshold is far
+      above the rounding of these sums and of the exact vote's class sums,
+      so no exact vote could decide such a cell otherwise;
     - majority voting: with tv votes for the truth and rv for the rival,
-      surely right when tv > rv and tv > k - tv - rv (the truth out-polls
-      every other class), surely wrong when rv > tv. The sums are the
-      exact counts tv - rv and 2 tv + rv.
+      tv > rv and tv > k - tv - rv (the truth out-polls every other class).
+      The sums are the exact counts tv - rv and 2 tv + rv.
 
     Every other cell gets the exact vote consensus computes, its members'
     probability rows summed in member order and the same tie rules.
@@ -350,7 +341,7 @@ def team_accuracy_table(pool, teams, method=SOFT):
     correct = np.zeros(len(plan), dtype=np.int64)
     # Per exactly voted cell: at most five (C,) arrays of 8-byte values.
     cells_per_piece = max(1, _BATCH_BYTES // (40 * pool.n_classes))
-    # Per team and sample: two float64 sums and at most eight bytes of masks.
+    # Per team and sample: at most two float64 sums and eight bytes of masks.
     for positions, batch in plan.batches(lambda k: 24 * n):
         # The batch's sums are freed before its open cells are voted.
         hits, (team, sample) = _screen_batch(rows, batch, method)

@@ -14,6 +14,7 @@ from sqdiv.cli import main
 from sqdiv.pool import correctness, load_pool, write_pool
 from sqdiv.qmetrics import DiversityScore
 from sqdiv.scoring import FocalResult, ScoreConfig, SQBreakdown, score_team
+from sqdiv.selection import select_and_evaluate
 from sqdiv.teams import consensus, make_team
 
 from _pools import pool_from_labels, random_pool
@@ -118,6 +119,26 @@ def test_scatter_files_equal_csv_writer_rows(tmp_path, capsys, m, method):
         assert path.read_bytes() == expected.getvalue().encode("utf-8"), metric
 
 
+@pytest.mark.parametrize("metric", ["sq", "qs"])
+@pytest.mark.parametrize("m", [4, 11], ids=["digit-keys", "hyphen-keys"])
+def test_selection_file_equals_csv_writer_rows(tmp_path, capsys, m, metric):
+    manifest = write_pool(random_pool(m, m, 40, 3), tmp_path / "pool")
+    out = tmp_path / "sel"
+    code, _, _ = run(["select", "--pool", str(manifest), "--metric", metric,
+                      "--out", str(out)], capsys)
+    assert code == 0
+    pool = load_pool(manifest)
+    report = select_and_evaluate(pool, correctness(pool), metric, k=10)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["rank", "team", "metric", "score", "ensemble_acc", "best_single_acc",
+                     "improvement"])
+    writer.writerows((r.rank, r.team_key, r.metric, r.score, r.ensemble_accuracy,
+                      r.best_single_accuracy, r.improvement) for r in report.rows)
+    path = out / f"selection_{metric}.csv"
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
 def test_evaluate_zero_alpha_weight_equals_epsilon_mean(sim_pool, tmp_path, capsys):
     out = tmp_path / "eval"
     code, _, _ = run(
@@ -192,8 +213,6 @@ def test_select_all_clone_pool_prefers_smaller_teams(tmp_path, capsys):
 
 
 def test_select_end_ue_matches_library(sim_pool, tmp_path, capsys):
-    from sqdiv.selection import select_and_evaluate
-
     out = tmp_path / "sel"
     code, _, _ = run(
         ["select", "--pool", str(sim_pool), "--out", str(out),
@@ -426,6 +445,63 @@ def test_sq_weights_that_overflow_a_score_are_an_error(sim_pool, tmp_path, capsy
     assert code == 1
     assert err == ("error: SQ weights w_epsilon=1e+308 and w_alpha=1e+308 overflow "
                    "the SQ score\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "select"])
+def test_neg_cap_past_int64_equals_a_cap_of_every_sample(tmp_path, capsys, command):
+    """A cap at or above the sample count keeps every negative sample, however
+    far past the int64 range it lies."""
+    manifest = tmp_path / "pool" / "manifest.json"
+    assert run(["simulate", "--models", "4", "--samples", "50",
+                "--out", str(manifest.parent)], capsys)[0] == 0
+    metric = ["--metric", "ck"] if command == "select" else []
+    outputs = []
+    for cap in ("50", "100000000000000000000"):
+        out = tmp_path / f"cap{len(cap)}"
+        code, stdout, err = run([command, "--pool", str(manifest), *metric, "--neg-cap", cap,
+                                 "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        outputs.append((stdout.replace(str(out), "OUT"),
+                        {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--models", "4", "--samples", "50"],
+    ["evaluate", "--neg-cap", "5"],
+    ["select", "--neg-cap", "5"],
+    ["select"],
+], ids=" ".join)
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_negative_seed_is_usage_error(sim_pool, tmp_path, capsys, argv, via):
+    if argv[0] != "simulate":
+        argv = argv + ["--pool", str(sim_pool)]
+    if via == "flag":
+        argv = argv + ["--seed", "-1"]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text('{"seed": -1}')
+        argv = argv + ["--config", str(config)]
+    out = tmp_path / "out"
+    code, _, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "seed must be a non-negative integer" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 149. GiB for an array", ""])
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, message):
+    def exhausted(spec):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("sqdiv.cli.generate", exhausted)
+    out = tmp_path / "out"
+    code, stdout, err = run(["simulate", "--models", "4", "--samples", "50",
+                             "--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {message or 'MemoryError'}\n"
     assert not out.exists()
 
 

@@ -173,6 +173,12 @@ def test_score_config_rejects_non_finite_or_negative_weights(weights):
         ScoreConfig(**weights)
 
 
+def test_score_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        ScoreConfig(seed=-1)
+    assert ScoreConfig(seed=0).seed == 0
+
+
 def test_sq_score_deterministic_and_order_invariant():
     pool = random_pool(42, 4, 25, 3)
     cm = correctness(pool)

@@ -109,6 +109,8 @@ def test_spec_validation():
         spec_with(rho=1.5)
     with pytest.raises(ValueError, match="peak_mass"):
         spec_with(peak_mass=0.1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        spec_with(seed=-1)
     with pytest.raises(ValueError, match="infeasible"):
         spec_with(
             n_models=4, base_accuracy=(0.5, 0.9, 0.9, 0.9),
