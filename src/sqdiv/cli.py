@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -219,10 +220,16 @@ def _write_json(path, record):
 
 def _base_accuracy(text, n_models):
     """'lo:hi' spreads evenly over the models; a single value applies to all."""
-    if ":" in text:
-        lo, hi = (float(v) for v in text.split(":", 1))
-        return np.linspace(lo, hi, n_models)
-    values = tuple(float(v) for v in text.split(","))
+    spread = ":" in text
+    try:
+        values = tuple(map(float, text.split(":", 1) if spread else text.split(",")))
+    except ValueError:
+        values = (math.nan,)
+    # np.linspace warns where an endpoint, or their distance, is not finite.
+    if not all(map(math.isfinite, values + (values[-1] - values[0],))):
+        raise ValueError(f"--base-accuracy takes finite numbers: {text!r}")
+    if spread:
+        return np.linspace(*values, n_models)
     return values * n_models if len(values) == 1 else values
 
 

@@ -27,12 +27,15 @@ that goes through csv.reader, the cells are parsed as float() parses them,
 a chunk of rows at a time. The writer formats each distinct probability of
 a chunk of rows once and writes the chunk's lines as one string.
 
-When the model files total at least _SPREAD_BYTES and no other Python
-thread runs, load_pool and write_pool share them out among forked worker
-processes, one per CPU the process may use. Unless every worker and the
-caller's own share succeed whole, the serial loop runs over every file, so
-the values read, the bytes written and the first error raised are always
-those of the serial loop.
+When the pool holds at least _SPREAD_VALUES probabilities (M * N * C) and
+no other Python thread runs, load_pool and write_pool share the model files
+out among forked worker processes, one per CPU the process may use. Each
+worker writes what it reads, or the digest of what it writes, straight into
+memory shared with the caller, and marks itself done in a shared flag as
+its last act. Unless every worker and the caller's own share are marked
+done, the caller reads or writes every file again in order, so the values
+read, the bytes written and the first error raised are always those of the
+serial loop.
 
 Beside each manifest, .sqdiv-cache/ holds at most one entry per manifest
 file name: the pool's (M, N, C) probability tensor as an .npy file, saved
@@ -62,8 +65,8 @@ import functools
 import hashlib
 import io
 import json
+import mmap
 import os
-import pickle
 import re
 import sys
 import tempfile
@@ -501,106 +504,80 @@ def _read_manifest(path):
     return classes, labels_path, models, hashlib.sha256(data).digest()
 
 
-# Model files totalling fewer bytes than this are read or written by the
-# calling process alone; write_pool estimates its text at _CELL_TEXT_BYTES
-# a probability. Measured in fresh processes on a 2-vCPU host (2 workers,
-# `simulate` pools at M=10, C=15, 21 alternating runs): a forked load_pool
-# took 1.05x the serial time at 0.63 MB of files, 0.97x at 0.79 MB, 0.85x
-# at 0.94 MB, 0.87x at 1.10 MB and 0.75x at 1.57 MB; a forked write_pool
-# 1.10x at 0.30 MB of probabilities (0.75 MB of text) and 0.86x at 0.60 MB
-# (1.5 MB of text).
-_SPREAD_BYTES = 1 << 20
-# Bytes of model-file text per probability of a `simulate` pool: a
-# 17-digit repr and its comma, plus the row's share of its id.
-_CELL_TEXT_BYTES = 20
+# Pools of fewer probabilities (M * N * C) than this are read and written
+# by the calling process alone. Measured in fresh processes on a 2-vCPU host
+# (2 workers, `simulate` pools at M=10, C=15, medians of 15 or 25
+# alternating pairs), a forked load_pool took 0.89x the serial time at 2^15
+# values, 0.70x at 2^16 and 0.63x at 2^17; a forked write_pool took 1.10x
+# and 1.24x at 2^15 (two runs), 0.88x to 1.19x at 2^16 (three runs) and
+# 0.73x at 2^17.
+_SPREAD_VALUES = 1 << 16
 
 
-def _spread(func, items, nbytes):
-    """[func(item) for item in items], with the items shared out among
-    forked worker processes when `nbytes`, their size, is at least
-    _SPREAD_BYTES.
+def _shared(shape, dtype):
+    """A zeroed array of `shape` and `dtype` in an anonymous shared mapping,
+    so the caller sees what a forked worker writes into it."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * dtype.itemsize), dtype).reshape(shape)
 
-    Worker w of W (the caller is worker 0) runs items w, w + W, ... in
-    order and sends back all its results, or none. Unless every worker was
-    forked and sent its results and the caller's own items raised nothing,
-    every item is then run here in order, so the first exception raised is
+
+def _spread(func, count, size):
+    """Run func(i) for i in range(count), for its side effects, with the
+    indices shared out among forked worker processes when `size`, the
+    pool's number of probabilities, is at least _SPREAD_VALUES.
+
+    Worker w of W (the caller is worker 0) runs indices w, w + W, ... in
+    order and then, as its last act, sets its flag in an array shared with
+    the caller. Unless every flag is set, every index is then run here in
+    order, so what func leaves behind and the first exception raised are
     the serial loop's. No worker outlives the call.
     """
-    items = list(items)
     workers = 1
     # A fork copies only the calling thread: another Python thread could
     # hold a lock the worker then waits on for ever.
     if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and threading.active_count() == 1 and nbytes >= _SPREAD_BYTES):
-        workers = min(len(os.sched_getaffinity(0)), len(items))
-    if workers < 2:
-        return [func(item) for item in items]
-
-    sent = {}  # worker -> its results, for each that succeeded whole
-    with contextlib.ExitStack() as children:
-        for w in range(1, workers):
-            try:
-                pid, fd = _fork_worker(func, items[w::workers])
-            except OSError:
-                break  # no process or pipe to spare: every item is run below
-            children.callback(_collect, pid, fd, sent, w)
-        with contextlib.suppress(Exception):  # raised again by the serial loop
-            sent[0] = [func(item) for item in items[::workers]]
-    if len(sent) < workers:
-        return [func(item) for item in items]
-    results = [None] * len(items)
-    for w, done in sent.items():
-        results[w::workers] = done
-    return results
-
-
-def _fork_worker(func, share):
-    """Fork a worker that runs `func` over `share` in order and pickles the
-    list of results into a pipe, or exits 1 at its first exception; returns
-    (pid, read end of the pipe)."""
-    read_fd, write_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on fork whenever the process has more than
-            # one OS thread, as it does once numpy has started OpenBLAS's
-            # pool. OpenBLAS stops that pool in its own atfork handler, and
-            # _spread forks only when no other Python thread runs.
-            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                    DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    # The worker leaves only by os._exit: it never returns into the caller's
-    # frames, runs no atexit handler and flushes no inherited stdio buffer.
-    status = 1
-    try:
-        os.close(read_fd)
-        done = [func(item) for item in share]
-        with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(done, pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _collect(pid, fd, sent, w):
-    """Read worker `w`'s pipe to its end, reap the worker, and keep the
-    results it sent, if it exited cleanly, as sent[w]."""
-    try:
-        with os.fdopen(fd, "rb") as pipe:
-            data = pipe.read()
-    finally:
+            and threading.active_count() == 1 and size >= _SPREAD_VALUES):
+        workers = min(len(os.sched_getaffinity(0)), count)
+    if workers > 1:
+        done = _shared((workers,), np.bool_)
+        pids = []
         try:
-            status = os.waitpid(pid, 0)[1]
-        except ChildProcessError:
-            status = None
-    if status == 0 and data:
-        sent[w] = pickle.loads(data)
+            for w in range(1, workers):
+                try:
+                    with warnings.catch_warnings():
+                        # Python 3.12+ warns on fork whenever the process has
+                        # more than one OS thread, as it does once numpy has
+                        # started OpenBLAS's pool. OpenBLAS stops that pool in
+                        # its own atfork handler, and _spread forks only when
+                        # no other Python thread runs.
+                        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                                DeprecationWarning)
+                        pid = os.fork()
+                except OSError:
+                    break  # no process to spare: every index is run below
+                if not pid:
+                    # The worker leaves only by os._exit: it never returns
+                    # into the caller's frames, runs no atexit handler and
+                    # flushes no inherited stdio buffer.
+                    try:
+                        for i in range(w, count, workers):
+                            func(i)
+                        done[w] = True
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+            with contextlib.suppress(Exception):  # raised again by the loop below
+                for i in range(0, count, workers):
+                    func(i)
+                done[0] = True
+        finally:
+            for pid in pids:
+                with contextlib.suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+        if done.all():
+            return
+    for i in range(count):
+        func(i)
 
 
 # The directory beside a manifest that holds its cache entry.
@@ -740,44 +717,39 @@ def load_pool(manifest_path):
     )
     if parsed:
         with contextlib.suppress(OSError):  # the cache is best-effort
-            _store(manifest_path, _pool_key(digests + model_digests), pool.probs)
+            _store(manifest_path, _pool_key([*digests, *model_digests]), pool.probs)
     return pool
 
 
 def _read_models(paths, models, classes, sample_ids):
     """The (M, N, C) tensor of the model files at `paths`, of the
     ModelRecords `models`, their rows placed in the order of `sample_ids`,
-    and the sha256 of each file's bytes."""
+    and the (M, 32) sha256 of each file's bytes."""
     index = dict(zip(sample_ids, range(len(sample_ids))))
+    probs = _shared((len(paths), len(index), len(classes)), np.float64)
+    digests = _shared((len(paths), 32), np.uint8)
 
     def read(position):
-        """Model file `position`'s block, the pool row of each of its rows,
-        or None when its rows are in the labels file's order, and the sha256
-        of its bytes."""
+        """Place model file `position`'s block in its slab of `probs`, in
+        the labels file's order, and the sha256 of its bytes in `digests`."""
         name, path = models[position].name, paths[position]
         ids, block, digest = _read_predictions(path, classes, name)
         if ids == sample_ids:
-            return block, None, digest
-        rows = list(map(index.get, ids))
-        if len(rows) != len(index) or None in rows:
-            missing = sorted(set(index).difference(ids))[:3]
-            extra = sorted(set(ids).difference(index))[:3]
-            raise PoolFormatError(
-                f"sample coverage mismatch for model {name!r} in {path}"
-                + (f"; missing {missing}" if missing else "")
-                + (f"; unexpected {extra}" if extra else "")
-            )
-        return block, rows, digest
-
-    nbytes = sum(path.stat().st_size for path in paths if path.is_file())
-    probs = np.empty((len(paths), len(index), len(classes)), dtype=np.float64)
-    digests = []
-    for position, (block, rows, digest) in enumerate(_spread(read, range(len(paths)), nbytes)):
-        if rows is None:
             probs[position] = block
         else:
+            rows = list(map(index.get, ids))
+            if len(rows) != len(index) or None in rows:
+                missing = sorted(set(index).difference(ids))[:3]
+                extra = sorted(set(ids).difference(index))[:3]
+                raise PoolFormatError(
+                    f"sample coverage mismatch for model {name!r} in {path}"
+                    + (f"; missing {missing}" if missing else "")
+                    + (f"; unexpected {extra}" if extra else "")
+                )
             probs[position, rows] = block
-        digests.append(digest)
+        digests[position] = np.frombuffer(digest, np.uint8)
+
+    _spread(read, len(paths), probs.size)
     return probs, digests
 
 
@@ -802,11 +774,11 @@ def write_pool(pool, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     ids = [_csv_field(sid) for sid in pool.sample_ids]
     classes = [_csv_field(c) for c in pool.classes]
-    digests = [_write_csv(
+    labels_digest = _write_csv(
         out / "labels.csv",
         "sample_id,true_label",
         (f"{sid},{classes[t]}\r\n" for sid, t in zip(ids, pool.truth.tolist())),
-    )]
+    )
 
     header = ",".join(["sample_id"] + [_csv_field(f"p_{c}") for c in pool.classes])
     entries = [
@@ -814,12 +786,14 @@ def write_pool(pool, out_dir):
          "predictions_path": f"model_{rec.model_id:02d}.csv"}
         for rec in pool.models
     ]
+    digests = _shared((len(entries), 32), np.uint8)
 
-    def write(entry):
-        probs = pool.probs[entry["id"]]
-        return _write_csv(out / entry["predictions_path"], header, _prob_lines(ids, probs))
+    def write(position):
+        path = out / entries[position]["predictions_path"]
+        digest = _write_csv(path, header, _prob_lines(ids, pool.probs[position]))
+        digests[position] = np.frombuffer(digest, np.uint8)
 
-    digests += _spread(write, entries, _CELL_TEXT_BYTES * pool.probs.size)
+    _spread(write, len(entries), pool.probs.size)
 
     manifest = {
         "classes": list(pool.classes),
@@ -832,7 +806,8 @@ def write_pool(pool, out_dir):
     # Keyed on the bytes written here, so files changed since by anyone
     # else are not served from this entry.
     with contextlib.suppress(OSError):  # the cache is best-effort
-        _store(manifest_path, _pool_key([hashlib.sha256(text).digest(), *digests]),
+        _store(manifest_path,
+               _pool_key([hashlib.sha256(text).digest(), labels_digest, *digests]),
                pool.probs)
     return manifest_path
 

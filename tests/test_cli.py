@@ -357,6 +357,25 @@ def test_bad_flag_is_usage_error(sim_pool, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0.9:inf", "1e999:0.9", "-inf:0.9", "1e308:-1e308",
+                                   "0.9:", ",", "0.9,0.9,nan"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_base_accuracy_that_is_not_finite_is_usage_error(tmp_path, capsys, value, via):
+    """Rejected before np.linspace, which would warn, naming the flag."""
+    out = tmp_path / "out"
+    argv = ["simulate", "--models", "3", "--samples", "10", "--classes", "2", "--out", str(out)]
+    if via == "flag":
+        argv.append(f"--base-accuracy={value}")
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"base-accuracy": value}))
+        argv += ["--config", str(config)]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.splitlines() == [f"usage error: --base-accuracy takes finite numbers: {value!r}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("models, argv, message", [
     (4, ["evaluate", "--min-size", "4"], "--min-size 4 --max-size 4 leave 1 candidate team"),
     (4, ["evaluate", "--min-size", "3", "--max-size", "3"], None),

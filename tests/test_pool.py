@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import threading
 import warnings
 
@@ -189,7 +190,7 @@ def forked(monkeypatch):
     pool; yields the pids forked, and checks that none outlives the test."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         pytest.skip("no os.fork or os.sched_getaffinity")
-    monkeypatch.setattr(sqpool, "_SPREAD_BYTES", 0)
+    monkeypatch.setattr(sqpool, "_SPREAD_VALUES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     pids = []
     fork = os.fork
@@ -734,7 +735,7 @@ def _spread_pool(base):
 
 def test_forked_load_and_write_equal_inline(tmp_path, monkeypatch, forked):
     with monkeypatch.context() as inline:
-        inline.setattr(sqpool, "_SPREAD_BYTES", 1 << 62)
+        inline.setattr(sqpool, "_SPREAD_VALUES", 1 << 62)
         manifest = _spread_pool(tmp_path / "inline")
         expected = load_pool(manifest)
     assert not forked
@@ -757,7 +758,7 @@ def test_forked_load_and_write_equal_inline(tmp_path, monkeypatch, forked):
                 (tmp_path / "inline" / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("faulty", [(1, 3), (2, 3), (3, 4), (4,)])
+@pytest.mark.parametrize("faulty", [(1, 3), (2, 3), (3, 4), (4,), (3,)])
 def test_forked_load_raises_the_first_fault_in_file_order(tmp_path, monkeypatch, forked, faulty):
     manifest = _spread_pool(tmp_path)
     for position in faulty:
@@ -773,7 +774,7 @@ def test_forked_load_raises_the_first_fault_in_file_order(tmp_path, monkeypatch,
     message = outcome()
     assert forked
     with monkeypatch.context() as inline:
-        inline.setattr(sqpool, "_SPREAD_BYTES", 1 << 62)
+        inline.setattr(sqpool, "_SPREAD_VALUES", 1 << 62)
         assert message == outcome()
     assert message.startswith(f"{tmp_path / f'model_{faulty[0]:02d}.csv'}, line 32: ")
     assert "cannot parse 'oops'" in message
@@ -782,6 +783,7 @@ def test_forked_load_raises_the_first_fault_in_file_order(tmp_path, monkeypatch,
 def test_worker_that_dies_costs_only_time(tmp_path, monkeypatch, forked):
     manifest = _spread_pool(tmp_path / "pool")
     expected = load_pool(manifest)
+    entry = _cache_files(manifest)
     parent = os.getpid()
     read, write = sqpool._read_predictions, sqpool._write_csv
 
@@ -808,22 +810,70 @@ def test_worker_that_dies_costs_only_time(tmp_path, monkeypatch, forked):
         assert (tmp_path / "again" / name).read_bytes() == \
             (tmp_path / "pool" / name).read_bytes(), name
 
-    dump = sqpool.pickle.dump
+    shared = []
+    make_shared = sqpool._shared
 
-    def cut_dump(obj, file, protocol):
-        if os.getpid() == parent:
-            return dump(obj, file, protocol)
-        data = sqpool.pickle.dumps(obj, protocol)
-        file.write(data[:len(data) // 2])
-        file.flush()
-        os._exit(1)  # killed halfway through sending its results
+    def recorded_shared(shape, dtype):
+        shared.append(make_shared(shape, dtype))
+        return shared[-1]
 
-    monkeypatch.setattr(sqpool, "_read_predictions", read)
-    monkeypatch.setattr(sqpool.pickle, "dump", cut_dump)
+    def spoiling_read(path, classes, model):
+        if os.getpid() != parent and path.name == "model_04.csv":
+            probs, digests = shared[:2]
+            probs[4, :15] = np.nan  # half its slab, and then it dies
+            digests[4] = 7
+            os._exit(1)
+        return read(path, classes, model)
+
+    monkeypatch.setattr(sqpool, "_shared", recorded_shared)
+    monkeypatch.setattr(sqpool, "_read_predictions", spoiling_read)
     forked.clear()
     _drop_cache(manifest)
-    assert load_pool(manifest).probs.tobytes() == expected.probs.tobytes()
-    assert len(forked) == 2
+    pool, parsed = _load(manifest)
+    assert parsed and len(forked) == 2
+    _assert_same_pool(pool, expected)
+    assert _cache_files(manifest) == entry
+
+
+def test_worker_killed_partway_costs_only_time(tmp_path, monkeypatch, forked):
+    manifest = _spread_pool(tmp_path)
+    expected = load_pool(manifest)
+    entry = _cache_files(manifest)
+    parent = os.getpid()
+    read = sqpool._read_predictions
+
+    def killed_read(path, classes, model):
+        if os.getpid() != parent and path.name == "model_04.csv":
+            os.kill(os.getpid(), signal.SIGKILL)  # worker 1, after model_01.csv
+        return read(path, classes, model)
+
+    monkeypatch.setattr(sqpool, "_read_predictions", killed_read)
+    forked.clear()
+    _drop_cache(manifest)
+    pool, parsed = _load(manifest)
+    assert parsed and len(forked) == 2
+    _assert_same_pool(pool, expected)
+    assert _cache_files(manifest) == entry
+
+
+def test_serial_load_reads_each_file_once_up_to_the_fault(tmp_path, monkeypatch, forked):
+    manifest = _spread_pool(tmp_path)
+    with (tmp_path / "model_03.csv").open("a", newline="") as fh:
+        fh.write("x3,oops,0,0,0\r\n")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    read, calls = sqpool._read_predictions, []
+
+    def counted_read(path, classes, model):
+        calls.append(path.name)
+        return read(path, classes, model)
+
+    monkeypatch.setattr(sqpool, "_read_predictions", counted_read)
+    forked.clear()
+    _drop_cache(manifest)
+    with pytest.raises(PoolFormatError, match="cannot parse 'oops'"):
+        load_pool(manifest)
+    assert calls == [f"model_{i:02d}.csv" for i in range(4)]
+    assert not forked
 
 
 def test_no_fork_beside_another_thread_or_without_a_process(tmp_path, monkeypatch, forked):
