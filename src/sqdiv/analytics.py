@@ -23,7 +23,8 @@ class UndefinedCorrelationError(ValueError):
 
 
 def pearson(xs, ys):
-    """Pearson product-moment correlation of two equal-length sequences."""
+    """Pearson product-moment correlation of two equal-length sequences, from
+    numpy's own sums: a BLAS dot's order depends on the kernel and threads."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.ndim != 1 or x.shape != y.shape:
@@ -33,9 +34,9 @@ def pearson(xs, ys):
     with np.errstate(all="ignore"):  # a non-finite value, or sums past the float range
         xc = x - x.mean()
         yc = y - y.mean()
-        vx = float(xc @ xc)
-        vy = float(yc @ yc)
-        cov = float(xc @ yc)
+        vx = float(np.add.reduce(xc * xc))
+        vy = float(np.add.reduce(yc * yc))
+        cov = float(np.add.reduce(xc * yc))
     if vx == 0.0 or vy == 0.0:
         raise UndefinedCorrelationError("undefined correlation: zero variance")
     if not (math.isfinite(vx * vy) and math.isfinite(cov)):

@@ -11,8 +11,8 @@ team member errs). Pairwise metrics reduce each unordered member pair to a
 and aggregate by unweighted mean over pairs; GD and KW read the per-sample
 count of correct members:
 
-    CK  1 - kappa, kappa = 2(n11 n00 - n01 n10) /
-        ((n11+n10)(n10+n00) + (n11+n01)(n01+n00)); 0 for redundant members
+    CK  1 - kappa(n11 + n00, (n11+n10)(n11+n01) + (n01+n00)(n10+n00), n),
+        Cohen's kappa of the two correctness rows; 0 for redundant members
     QS  Yule's Q = (n11 n00 - n01 n10) / (n11 n00 + n01 n10), a similarity
     BD  (n10 + n01) / n
     GD  1 - p(2)/p(1) (Partridge-Krzanowski), with p(1) the probability one
@@ -22,7 +22,8 @@ count of correct members:
 
 classical_batch scores a batch of teams at once from each team's
 both-correct counts on its own subset, as one float array per metric;
-classical_scores scores one team's rows on an explicit subset.
+classical_scores scores one team's rows on an explicit subset. SQ's
+agreement term shares CK's kappa, taken from exact integer counts.
 Degenerate denominators resolve to the metric's "no diversity information"
 value instead of raising, so a sweep over thousands of candidate teams
 never aborts mid-run; only a team of fewer than 2 members or an empty
@@ -127,11 +128,16 @@ def gram(bits):
     return b @ b.T
 
 
-def _kappa_pairs(n11, n10, n01, n00):
-    den = (n11 + n10) * (n10 + n00) + (n11 + n01) * (n01 + n00)
-    num = 2.0 * (n11 * n00 - n01 * n10)
-    # den == 0 means a perfectly redundant pair: kappa 1, diversity 0
-    return np.where(den == 0, 1.0, num / np.where(den == 0, 1.0, den))
+def kappa(agree, chance, n):
+    """Cohen's kappa of two raters over n samples, from exact integer counts:
+    agree, the samples they agree on, and chance = sum_c a_c b_c, their
+    per-class label counts multiplied and summed over the classes. kappa =
+    (n agree - chance) / (n^2 - chance), (p_o - p_e) / (1 - p_e) cleared of
+    fractions; n^2 == chance (both raters constant on one class) resolves
+    to 1. The arguments broadcast."""
+    num = n * agree - chance
+    den = n * n - chance
+    return np.where(den == 0, 1.0, num / np.where(den == 0, 1, den))
 
 
 def _q_pairs(n11, n10, n01, n00):
@@ -177,12 +183,13 @@ def classical_batch(counts, n, metrics):
     r = np.diagonal(counts, axis1=1, axis2=2)
     out = {}
     if any(m in metrics for m in ("CK", "QS", "BD")):
-        n11 = both.astype(np.float64)
-        n10 = (r[:, ia] - both).astype(np.float64)
-        n01 = (r[:, ib] - both).astype(np.float64)
+        n11 = both
+        n10 = r[:, ia] - both
+        n01 = r[:, ib] - both
         n00 = n[:, None] - n11 - n10 - n01
         if "CK" in metrics:
-            out["CK"] = row_mean(1.0 - _kappa_pairs(n11, n10, n01, n00))
+            chance = (n11 + n10) * (n11 + n01) + (n01 + n00) * (n10 + n00)
+            out["CK"] = row_mean(1.0 - kappa(n11 + n00, chance, n[:, None]))
         if "QS" in metrics:
             out["QS"] = row_mean(_q_pairs(n11, n10, n01, n00))
         if "BD" in metrics:

@@ -17,9 +17,9 @@ taken:
   the focal model. Because the focal is wrong on every negative sample,
   this is the mean share of the set a non-focal member gets right: the
   team's capacity to cover the focal's mistakes.
-* sq_alpha -- mean pairwise multi-class Cohen's kappa over the non-focal
-  members' predicted labels on the set: whether the potential correctors
-  actually agree with each other.
+* sq_alpha -- mean pairwise multi-class Cohen's kappa (qmetrics.kappa, as
+  CK's) over the non-focal members' predicted labels on the set: whether
+  the potential correctors actually agree with each other.
 
 The per-focal score is w_epsilon * sq_epsilon + w_alpha * sq_alpha, and the
 team score is the mean over every member that has at least one failure;
@@ -44,7 +44,6 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -57,6 +56,7 @@ from .qmetrics import (
     UndefinedDiversityError,
     classical_batch,
     gram,
+    kappa,
     negative_samples,
     row_mean,
 )
@@ -258,15 +258,6 @@ class SQBreakdown:
     all_skipped: bool
 
 
-def cohen_kappa(p_o, p_e):
-    """Cohen's kappa from the observed agreement p_o and the chance
-    agreement p_e; the p_e >= 1 degeneracy (both raters constant) resolves
-    to 1 when the labels match, else 0."""
-    if p_e >= 1.0:
-        return 1.0 if p_o >= 1.0 else 0.0
-    return (p_o - p_e) / (1.0 - p_e)
-
-
 class _FocalTables:
     """Per-focal tables for scoring the synergy metric over many teams.
 
@@ -274,11 +265,10 @@ class _FocalTables:
     negative set of n samples: counts[f] = n; acc[f, a], the share of the
     set that each other model a gets right (sq_epsilon of the pair); and
     kappa[f, a, b], the kappa of every other pair (a, b) on the set (sq_alpha
-    of the triple). Each kappa comes from the pair's agreement count and the
-    per-class label counts of both models on the set. Its chance agreement
-    p_e = marg[a] @ marg[b] is one 1-d dot of two per-class share rows per
-    pair: a batched marg @ marg.T sums in another order from about 12 other
-    models up and would move kappas, and so artifacts, by an ulp.
+    of the triple). qmetrics.kappa takes all of f's pairs at once from
+    integer counts: the pairs' agreement counts, and their chance products
+    labels @ labels.T of the others' per-class label counts, an int64
+    product that is exact, so no BLAS kernel or thread count moves a score.
     """
 
     def __init__(self, pool, cm, plan, cfg):
@@ -303,12 +293,9 @@ class _FocalTables:
             others = [a for a in models if a != f]
             self.acc[f, others] = cm.bits[others][:, idx].sum(axis=1) / n
             rows = data[others][:, idx]
-            p_o = np.count_nonzero(rows[:, None] == rows[None], axis=2) / n
-            marg = np.array([np.bincount(row, minlength=n_classes) for row in rows]) / n
-            for i, j in combinations(range(len(others)), 2):
-                k = cohen_kappa(p_o[i, j], float(marg[i] @ marg[j]))
-                self.kappa[f, others[i], others[j]] = k
-                self.kappa[f, others[j], others[i]] = k
+            agree = np.count_nonzero(rows[:, None] == rows[None], axis=2)
+            labels = np.array([np.bincount(row, minlength=n_classes) for row in rows])
+            self.kappa[f][np.ix_(others, others)] = kappa(agree, labels @ labels.T, n)
 
     def _terms(self, plan, cfg):
         """Per batch of equal-size teams of a TeamPlan: positions, members,

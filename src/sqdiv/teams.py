@@ -305,6 +305,7 @@ def _screen_batch(rows, batch, method):
     t, k = batch.shape
     held = np.zeros((t, len(rows)))
     held[np.arange(t)[:, None], batch] = 1.0
+    # A BLAS product, but it only picks the cells voted exactly (see _DELTA).
     sums = held @ rows
     if method == SOFT:
         right = sums > _DELTA

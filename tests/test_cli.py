@@ -605,3 +605,39 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True,
     )
     assert result.returncode == 2
+
+
+def test_artifacts_do_not_depend_on_blas_kernel_or_threads(tmp_path, package_env):
+    """evaluate and select write the same bytes under every OpenBLAS kernel
+    and thread count. On a pool of 5 models they run with OPENBLAS_CORETYPE
+    unset, Prescott and Haswell. On a pool of 14 models, whose 16,369 teams
+    are past the length at which OpenBLAS splits a dot over threads,
+    evaluate runs with OPENBLAS_NUM_THREADS 1 and 2. Where numpy links
+    another BLAS, which ignores these variables, the test passes trivially."""
+    def sqdiv(*args, **env):
+        run_env = {k: v for k, v in package_env.items() if k != "OPENBLAS_CORETYPE"}
+        subprocess.run([sys.executable, "-m", "sqdiv", *args], env={**run_env, **env},
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    def artifacts(out):
+        return {p.name: p.read_bytes() for p in sorted((tmp_path / out).iterdir())}
+
+    sqdiv("simulate", "--models", "5", "--samples", "100", "--classes", "3", "--seed", "1",
+          "--out", "p5")
+    sqdiv("simulate", "--models", "14", "--samples", "200", "--classes", "3", "--out", "p14")
+    runs = {}
+    for command in ("evaluate", "select"):
+        for coretype in ("", "Prescott", "Haswell"):
+            out = f"{command}{coretype}"
+            env = {"OPENBLAS_CORETYPE": coretype} if coretype else {}
+            sqdiv(command, "--pool", "p5/manifest.json", "--out", out, **env)
+            runs.setdefault(command, []).append(artifacts(out))
+    for threads in ("1", "2"):
+        out = f"threads{threads}"
+        sqdiv("evaluate", "--pool", "p14/manifest.json", "--out", out,
+              OPENBLAS_NUM_THREADS=threads)
+        runs.setdefault("threads", []).append(artifacts(out))
+    for name, (first, *rest) in runs.items():
+        assert first, name
+        for other in rest:
+            assert other == first, name

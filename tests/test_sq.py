@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 import _reference as ref
 from _pools import pool_from_labels, pool_from_probs, random_pool
 from sqdiv.pool import correctness
-from sqdiv.qmetrics import FOCAL_ERRS, negative_samples
-from sqdiv.scoring import ScoreConfig, cohen_kappa, score_team
+from sqdiv.qmetrics import FOCAL_ERRS, kappa, negative_samples
+from sqdiv.scoring import ScoreConfig, score_team
 from sqdiv.teams import make_team
 
 
@@ -69,11 +69,23 @@ def test_sq_alpha_pair_team_zero(triad_pool):
     assert focal_terms(triad_pool, make_team([0, 1], 3), 0).sq_alpha == 0.0
 
 
-def test_multiclass_kappa_degenerate_marginals():
-    """Two constant raters (chance agreement 1) have kappa 1 when their
-    labels match and 0 when they differ."""
-    assert cohen_kappa(1.0, 1.0) == 1.0
-    assert cohen_kappa(0.0, 1.0) == 0.0
+def test_kappa_of_constant_raters():
+    """Two raters constant on one class over 5 samples agree on all 5, and
+    chance = 5 * 5 = n^2: kappa 1. Constant on different classes, they agree
+    nowhere, as chance (0) predicts: kappa 0."""
+    assert kappa(5, 25, 5) == 1.0
+    assert kappa(0, 0, 5) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 60), n_classes=st.integers(1, 6))
+def test_kappa_equals_reference(seed, n, n_classes):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, n_classes, size=n)
+    b = np.where(rng.random(n) < 0.5, a, rng.integers(0, n_classes, size=n))
+    chance = np.bincount(a, minlength=n_classes) @ np.bincount(b, minlength=n_classes)
+    expected = ref.multiclass_kappa(a.tolist(), b.tolist(), n_classes)
+    assert float(kappa(np.count_nonzero(a == b), chance, n)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_sq_score_frozen_breakdown(triad_pool):

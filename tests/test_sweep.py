@@ -24,8 +24,14 @@ from hypothesis import strategies as st
 import _reference as ref
 from _pools import pool_from_labels, pool_from_probs, random_pool
 from sqdiv.pool import correctness
-from sqdiv.qmetrics import FOCAL_ERRS, UndefinedDiversityError, classical_scores, negative_samples
-from sqdiv.scoring import ScoreConfig, cohen_kappa, score_team, score_teams
+from sqdiv.qmetrics import (
+    FOCAL_ERRS,
+    UndefinedDiversityError,
+    classical_scores,
+    kappa,
+    negative_samples,
+)
+from sqdiv.scoring import ScoreConfig, score_team, score_teams
 from sqdiv import teams as teams_module
 from sqdiv.synth import default_spec, generate
 from sqdiv.teams import (
@@ -68,14 +74,12 @@ def _degenerate_pool(rng, m, n, c, structure):
 
 
 def multiclass_kappa(labels_a, labels_b, n_classes):
-    """Cohen's kappa between two label sequences, with p_e the dot of the
-    two per-class label shares."""
+    """Cohen's kappa between two label sequences: qmetrics.kappa of their
+    agreement count and the product of their per-class label counts."""
     a = np.asarray(labels_a, dtype=np.int64)
     b = np.asarray(labels_b, dtype=np.int64)
-    p_o = float(np.count_nonzero(a == b)) / a.size
-    marg_a = np.bincount(a, minlength=n_classes) / a.size
-    marg_b = np.bincount(b, minlength=n_classes) / b.size
-    return cohen_kappa(p_o, float(marg_a @ marg_b))
+    chance = np.bincount(a, minlength=n_classes) @ np.bincount(b, minlength=n_classes)
+    return float(kappa(np.count_nonzero(a == b), chance, a.size))
 
 
 def _focal_terms(pool, cm, members, focal, cfg):
@@ -354,8 +358,9 @@ def test_column_membership_reads_team_keys():
 def test_sq_focal_tables_equal_per_focal_terms(cfg):
     """Each focal's terms, gathered from the count tables, are bit-identical
     to the terms computed on their own. At 13 models each focal has 12
-    non-focal members, where a batched marg @ marg.T would change the
-    chance agreement of some pairs by an ulp."""
+    non-focal members, enough that a float chance agreement summed in
+    another order would move some kappas by an ulp; the tables' integer
+    counts leave no order to matter."""
     pool = generate(default_spec(n_models=13, n_samples=300, seed=0))
     cm = correctness(pool)
     members = list(range(13))
