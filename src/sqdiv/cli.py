@@ -10,12 +10,13 @@ Exit codes: 0 success, 1 runtime or data failure, 2 usage error. The library
 validators decide which flag values are usage errors, and --out is created
 only after every check has passed.
 
-A --config JSON file supplies flag values; keys use underscores or dashes,
-and each value is read as if it were typed on the command line (true and
-false fit only switch flags). Explicit flags win over config values, and
-config values win over the defaults that --help shows. A key that names no
-flag of any subcommand is a usage error; a key that names only another
-subcommand's flag is ignored, so one config file can serve every subcommand.
+A --config JSON file supplies flag values; keys use underscores or dashes.
+Each value is typed as --flag=value right after the subcommand name, so
+argparse checks it as a typed flag, and argv's own flags, coming later,
+win; true types a switch and false leaves it off. A list, an object, a
+true/false for a non-switch flag and a key that names no flag of any
+subcommand are usage errors; a key that names only another subcommand's
+flag is ignored, so one config file can serve every subcommand.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import case_study, pearson, spearman, sweep
-from .pool import correctness, load_pool, write_pool
+from .pool import PoolFormatError, _read_text, correctness, load_pool, write_pool
 from .scoring import ScoreConfig, normalize_metric
 from .selection import select_and_evaluate
 from .synth import SynthSpec, contiguous_groups, generate, planted_best_team
-from .teams import count_teams, make_team, normalize_method, parse_team_key
+from .teams import count_teams, make_team, parse_team_key
 
 _EXIT_FAILURE = 1
 _EXIT_USAGE = 2
@@ -43,7 +44,6 @@ SCATTER_COLUMNS = ("team", "size", "score", "accuracy")
 SELECTION_COLUMNS = (
     "rank", "team", "metric", "score", "ensemble_acc", "best_single_acc", "improvement",
 )
-_ALPHA_ON = ("labels", "correctness")
 
 # Most candidate teams evaluate and select will enumerate. Every team's
 # member ids, key, size, accuracy and one float per metric stay in memory
@@ -117,7 +117,7 @@ def build_parser():
                        help="weight of the focal-disagreement term")
         p.add_argument("--w-alpha", type=float, default=1.0,
                        help="weight of the non-focal agreement term")
-        p.add_argument("--alpha-on", choices=_ALPHA_ON, default="labels",
+        p.add_argument("--alpha-on", choices=("labels", "correctness"), default="labels",
                        help="agreement term input")
         p.add_argument("--full-set", action="store_true",
                        help="evaluate classical metrics on all samples, not negatives")
@@ -136,41 +136,44 @@ def build_parser():
 
 
 def _read_config(path):
-    path = Path(path)
-    if not path.is_file():
-        raise UsageError(f"config file not found: {path}")
+    """The config file's entries, keys with underscores; null keeps the default.
+    The file is read as a pool file is, but a fault in it is a usage error."""
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        text, _ = _read_text(path, "config")
+    except PoolFormatError as exc:
+        raise UsageError(str(exc)) from None
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object")
-    # A value reads as if typed on the command line; null keeps the default.
-    return {
-        str(k).replace("-", "_"): v if isinstance(v, bool) else str(v)
-        for k, v in raw.items() if v is not None
-    }
+    return {str(k).replace("-", "_"): v for k, v in raw.items() if v is not None}
 
 
 def _parse(argv):
-    """Parse argv, then again with --config values as the subcommand's defaults."""
+    """Parse argv, then again with the --config entries typed as flags
+    right after the subcommand name."""
     parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if args.config:
         config = _read_config(args.config)
-        flags = {name: set(vars(p.parse_args([]))) for name, p in commands.items()}
-        unknown = sorted(set(config).difference(*flags.values()))
+        defaults = {name: vars(p.parse_args([])) for name, p in commands.items()}
+        unknown = sorted(set(config).difference(*defaults.values()))
         if unknown:
             raise UsageError(f"config key names no flag: {', '.join(unknown)}")
-        command = commands[args.command]
-        own = {k: v for k, v in config.items() if k in flags[args.command]}
-        # true/false sets a switch flag and nothing else.
-        mistyped = sorted(k for k, v in own.items()
-                          if isinstance(v, bool) != isinstance(command.get_default(k), bool))
+        own = {k: v for k, v in config.items() if k in defaults[args.command]}
+        # true/false sets a switch flag and nothing else; no flag takes a list
+        # or an object.
+        mistyped = sorted(k for k, v in own.items() if isinstance(v, (list, dict))
+                          or isinstance(v, bool) != isinstance(defaults[args.command][k], bool))
         if mistyped:
             raise UsageError(f"config value has the wrong type for: {', '.join(mistyped)}")
-        command.set_defaults(**own)
-        args = parser.parse_args(argv)
+        typed = [f"--{k.replace('_', '-')}" + ("" if v is True else f"={v}")
+                 for k, v in own.items() if v is not False]
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + typed + argv[at:])
     return args
 
 
@@ -182,8 +185,6 @@ def _require(args, *names):
 
 def _score_config(args):
     with _usage("bad scoring flag: "):
-        if args.alpha_on not in _ALPHA_ON:  # a config value skips argparse's choices
-            raise ValueError(f"--alpha-on must be one of {', '.join(_ALPHA_ON)}")
         return ScoreConfig(
             w_epsilon=args.w_epsilon,
             w_alpha=args.w_alpha,
@@ -266,7 +267,6 @@ def cmd_evaluate(args):
             raise ValueError("--metrics lists no metrics")
         if len(set(metrics)) != len(metrics):
             raise ValueError(f"--metrics repeats a metric: {args.metrics}")
-        method = normalize_method(args.consensus)
     cfg = _score_config(args)
     pool, n_teams = _load_checked(args)
     if n_teams < 2 and pool.n_models > 2:
@@ -278,7 +278,7 @@ def cmd_evaluate(args):
             f"team on a {pool.n_models}-model pool; correlations need at least 2"
         )
     cm = correctness(pool)
-    result = sweep(pool, cm, metrics, cfg, method, args.min_size, args.max_size)
+    result = sweep(pool, cm, metrics, cfg, args.consensus, args.min_size, args.max_size)
     report = result.correlations(spearman if args.spearman else pearson)
     out = _out_dir(args)
     # The rows csv.writer writes for result.rows(metric), with each team's
@@ -307,14 +307,13 @@ def cmd_select(args):
     _require(args, "pool", "out")
     with _usage():
         metric = normalize_metric(args.metric)
-        method = normalize_method(args.consensus)
     if args.topk < 1:
         raise UsageError("--topk must be >= 1")
     cfg = _score_config(args)
     pool, _ = _load_checked(args)
     cm = correctness(pool)
     report = select_and_evaluate(
-        pool, cm, metric, cfg, k=args.topk, consensus_method=method,
+        pool, cm, metric, cfg, k=args.topk, consensus_method=args.consensus,
         min_size=args.min_size, max_size=args.max_size,
     )
     path = _out_dir(args) / f"selection_{metric.lower()}.csv"
@@ -336,15 +335,13 @@ def cmd_select(args):
 
 def cmd_inspect(args):
     _require(args, "pool", "team", "sample", "out")
-    with _usage():
-        method = normalize_method(args.consensus)
     pool = load_pool(args.pool)
     try:
         team = make_team(parse_team_key(args.team), pool.n_models)
     except ValueError as exc:
         raise UsageError(f"unknown team member: {exc}") from None
     try:
-        record = case_study(pool, team, args.sample, method)
+        record = case_study(pool, team, args.sample, args.consensus)
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from None
     path = _out_dir(args) / "case_study.json"

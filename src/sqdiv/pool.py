@@ -11,8 +11,10 @@ predictions CSV per model:
 
 Samples are joined across files by sample_id, never by row position; the
 labels file fixes the canonical sample order. Relative paths in the manifest
-resolve against the manifest's directory. A CSV file may start with a UTF-8
-byte order mark, end its lines in \n or \r\n and hold blank lines; fields
+resolve against the manifest's directory. Every pool file, the manifest
+too, is read by one text reader, which drops a UTF-8 byte order mark and
+reports a missing file, a directory or bytes that are not UTF-8 alike. A
+CSV file may end its lines in \n or \r\n and hold blank lines; fields
 are taken verbatim, and a cell is read as float() reads it. A file with no
 '"', no NUL, none of \x1c-\x1f, no line break but \r and \n, and no line
 past the csv field limit is split on line ends and commas without the csv
@@ -456,15 +458,11 @@ def _read_predictions(path, classes, model):
 def _read_manifest(path):
     """The manifest's (classes, labels path, ModelRecords), shape-checked,
     and the sha256 of the bytes they were read from."""
-    if not path.is_file():
-        raise PoolFormatError(f"manifest not found: {path}")
-    data = path.read_bytes()
+    text, digest = _read_text(path, "manifest")
     # Line ends are translated as Path.read_text translates them, so a
     # JSON error names the same line, column and character.
     try:
-        manifest = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
-    except UnicodeDecodeError:
-        raise PoolFormatError(f"manifest is not UTF-8 text: {path}") from None
+        manifest = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except json.JSONDecodeError as exc:
         raise PoolFormatError(f"manifest is not valid JSON: {path}: {exc}") from None
     if not isinstance(manifest, dict):
@@ -501,7 +499,7 @@ def _read_manifest(path):
     declared = [e.get("id") for e in entries]
     if len(set(declared)) != len(declared):
         raise PoolFormatError(f"duplicate model ids in manifest: {path}")
-    return classes, labels_path, models, hashlib.sha256(data).digest()
+    return classes, labels_path, models, digest
 
 
 # Pools of fewer probabilities (M * N * C) than this are read and written

@@ -524,22 +524,84 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, message)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text, message", [
-    (None, "config file not found: "),
-    ("{", "config file is not valid JSON: "),
-    ("[1]", "config file must hold a JSON object"),
-], ids=["missing", "invalid-json", "not-an-object"])
-def test_unreadable_config_is_usage_error(sim_pool, tmp_path, capsys, text, message):
+@pytest.mark.parametrize("write, message", [
+    (lambda path: None, "config file not found: {}\n"),
+    (lambda path: path.write_text("{"), "config file is not valid JSON: "),
+    (lambda path: path.write_text("[1]"), "config file must hold a JSON object\n"),
+    (lambda path: path.write_bytes(b'{"topk": 3}\xff'), "config file is not UTF-8 text: {}\n"),
+    (lambda path: path.mkdir(), "config path is not a file: {}\n"),
+], ids=["missing", "invalid-json", "not-an-object", "not-utf8", "directory"])
+def test_unreadable_config_is_usage_error(sim_pool, tmp_path, capsys, write, message):
     path = tmp_path / "cfg.json"
-    if text is not None:
-        path.write_text(text)
+    write(path)
     out = tmp_path / "out"
     code, _, err = run(
         ["select", "--pool", str(sim_pool), "--config", str(path), "--out", str(out)], capsys
     )
     assert code == 2
-    assert err.startswith(f"usage error: {message}") and err.count("\n") == 1
+    assert err.startswith(f"usage error: {message.format(path)}") and err.count("\n") == 1
     assert not out.exists()
+
+
+_INSPECT = ["inspect", "--team", "013", "--sample", "s00007"]
+
+
+@pytest.mark.parametrize("command, key, value", [
+    *((command, "consensus", value) for command in ("evaluate", "select", "inspect")
+      for value in ("majority-voting", "MAJORITY")),
+    *((command, "alpha-on", "LABELS") for command in ("evaluate", "select")),
+    *(("evaluate", key, value) for key in ("out", "pool", "metrics")
+      for value in (["o"], {"o": "o"})),
+], ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_config_value_is_refused_as_the_typed_flag_is(sim_pool, tmp_path, capsys,
+                                                      monkeypatch, command, key, value):
+    """A value argparse refuses when typed is refused from --config with the
+    same message; a JSON list or object, which no flag takes, is refused too.
+    Neither run creates --out, nor anything in the working directory."""
+    monkeypatch.chdir(tmp_path / "pool")
+    before = sorted(p.name for p in (tmp_path / "pool").iterdir())
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    argv = (_INSPECT if command == "inspect" else [command]) + ["--pool", str(sim_pool)]
+    if key != "out":
+        argv += ["--out", str(out)]
+    code, _, err = run(argv[:1] + ["--config", str(config)] + argv[1:], capsys)
+    assert code == 2
+    if isinstance(value, str):
+        assert (code, err) == run(argv + [f"--{key}={value}"], capsys)[::2]
+    else:
+        assert err == f"usage error: config value has the wrong type for: {key}\n"
+    assert not out.exists()
+    assert sorted(p.name for p in (tmp_path / "pool").iterdir()) == before
+
+
+@pytest.mark.parametrize("argv, typed, config", [
+    (["evaluate"], ["--consensus", "majority", "--neg-cap", "7", "--seed", "3", "--full-set",
+                    "--alpha-on", "correctness", "--metrics", "ck,sq"],
+     {"consensus": "majority", "neg-cap": 7, "seed": 3, "full_set": True,
+      "alpha_on": "correctness", "spearman": False, "metrics": "ck,sq"}),
+    (["evaluate"], ["--min-size", "3", "--w-alpha", "0.5", "--spearman"],
+     {"consensus": "soft", "min-size": 3, "w_alpha": 0.5, "spearman": True}),
+    (["select"], ["--metric", "qs", "--consensus", "majority", "--full-set", "--topk", "4"],
+     {"metric": "qs", "consensus": "majority", "full-set": True, "topk": 4}),
+    (["select"], ["--alpha-on", "correctness", "--neg-cap", "9", "--seed", "2"],
+     {"metric": "sq", "alpha-on": "correctness", "neg_cap": 9, "seed": 2}),
+    (_INSPECT, ["--consensus", "majority"], {"consensus": "majority"}),
+], ids=["evaluate-capped", "evaluate-spearman", "select-qs", "select-sq", "inspect"])
+def test_config_writes_what_the_typed_flags_write(sim_pool, tmp_path, capsys,
+                                                  argv, typed, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    runs = []
+    for name, extra in (("typed", typed), ("config", ["--config", str(path)])):
+        out = tmp_path / name
+        code, stdout, err = run(argv + extra + ["--pool", str(sim_pool), "--out", str(out)],
+                                capsys)
+        assert (code, err) == (0, "")
+        runs.append((stdout.replace(str(out), "OUT"),
+                     {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert runs[0] == runs[1]
 
 
 def _set(key, value):

@@ -90,8 +90,10 @@ def test_unknown_truth_label(write_manifest):
 
 
 def test_missing_files_and_small_manifests(tmp_path, write_manifest):
-    with pytest.raises(PoolFormatError, match="manifest not found"):
+    with pytest.raises(PoolFormatError, match="^manifest file not found: "):
         load_pool(tmp_path / "nope.json")
+    with pytest.raises(PoolFormatError, match="^manifest path is not a file: "):
+        load_pool(tmp_path)
 
     manifest = write_manifest(
         classes=["a", "b"],
@@ -179,9 +181,21 @@ def test_constructor_rejects_inconsistent_pools(changes, message):
 def test_manifest_that_is_not_utf8_names_the_manifest(tiny_pool, tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_bytes(manifest.read_bytes() + b"\xff")
-    message = f"^manifest is not UTF-8 text: {re.escape(str(manifest))}$"
+    message = f"^manifest file is not UTF-8 text: {re.escape(str(manifest))}$"
     with pytest.raises(PoolFormatError, match=message):
         load_pool(manifest)
+
+
+def test_manifest_with_a_byte_order_mark_loads_as_without(tiny_pool, tmp_path):
+    """The manifest is read as the data files are: a UTF-8 BOM is dropped."""
+    manifest = tmp_path / "manifest.json"
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+    pool = load_pool(marked)
+    assert pool.probs.tobytes() == tiny_pool.probs.tobytes()
+    assert pool.sample_ids == tiny_pool.sample_ids
+    assert pool.truth.tolist() == tiny_pool.truth.tolist()
+    assert pool.fingerprint() == tiny_pool.fingerprint()
 
 
 @pytest.fixture
