@@ -13,10 +13,12 @@ only after every check has passed.
 A --config JSON file supplies flag values; keys use underscores or dashes.
 Each value is typed as --flag=value right after the subcommand name, so
 argparse checks it as a typed flag, and argv's own flags, coming later,
-win; true types a switch and false leaves it off. A list, an object, a
-true/false for a non-switch flag and a key that names no flag of any
-subcommand are usage errors; a key that names only another subcommand's
-flag is ignored, so one config file can serve every subcommand.
+win; true types a switch and false leaves it off, and null keeps the
+default. A list, an object, a true/false for a non-switch flag, a key that
+names no flag of any subcommand, null or not, and a key that repeats once
+dashes become underscores are usage errors; a key that names only another
+subcommand's flag is ignored, so one config file can serve every
+subcommand.
 """
 
 from __future__ import annotations
@@ -135,20 +137,32 @@ def build_parser():
     return parser, sub.choices
 
 
+def _folded_keys(pairs):
+    """A JSON object's entries as a dict, dashes in keys folded to
+    underscores; a key that repeats once folded is a usage error."""
+    entries, spelled = {}, {}
+    for key, value in pairs:
+        folded = key.replace("-", "_")
+        if folded in entries:
+            raise UsageError(f"config key repeats: {spelled[folded]!r} and {key!r}")
+        entries[folded], spelled[folded] = value, key
+    return entries
+
+
 def _read_config(path):
-    """The config file's entries, keys with underscores; null keeps the default.
+    """The config file's entries, keys with underscores and nulls kept.
     The file is read as a pool file is, but a fault in it is a usage error."""
     try:
         text, _ = _read_text(path, "config")
     except PoolFormatError as exc:
         raise UsageError(str(exc)) from None
     try:
-        raw = json.loads(text)
+        config = json.loads(text, object_pairs_hook=_folded_keys)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
+    if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
-    return {str(k).replace("-", "_"): v for k, v in raw.items() if v is not None}
+    return config
 
 
 def _parse(argv):
@@ -163,7 +177,9 @@ def _parse(argv):
         unknown = sorted(set(config).difference(*defaults.values()))
         if unknown:
             raise UsageError(f"config key names no flag: {', '.join(unknown)}")
-        own = {k: v for k, v in config.items() if k in defaults[args.command]}
+        # null keeps the default.
+        own = {k: v for k, v in config.items()
+               if k in defaults[args.command] and v is not None}
         # true/false sets a switch flag and nothing else; no flag takes a list
         # or an object.
         mistyped = sorted(k for k, v in own.items() if isinstance(v, (list, dict))

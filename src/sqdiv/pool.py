@@ -39,22 +39,22 @@ done, the caller reads or writes every file again in order, so the values
 read, the bytes written and the first error raised are always those of the
 serial loop.
 
-Beside each manifest, .sqdiv-cache/ holds at most one entry per manifest
-file name: the pool's (M, N, C) probability tensor as an .npy file, saved
-by write_pool and by a load_pool that had to parse the model files. Its
-key is a sha256 over the bytes of the manifest, the labels file and every
-model file in manifest order, this module's source, numpy's version,
-Python's major.minor and the csv field limit in force; the entry is named
-by that key and the sha256 of the tensor's bytes. Each file's digest is
-taken from the very bytes that are parsed, and a model file is hashed
-apart from its parse only when the manifest has an entry to look up, so
-an entry is never used after any input byte or the reader's source
-changes, and a damaged one is ignored and written again. The manifest and
-the labels file are parsed and PredictionPool's checks run on every load,
-hit or miss. Entries are written best-effort (a temporary file, then
-os.replace; an OSError leaves the load as it is; a store removes the
-manifest's older entries and any temporary file a killed store left) and
-the directory is safe to delete.
+Beside each manifest, .sqdiv-cache/<manifest file name>.entry holds the
+pool's (M, N, C) probability tensor, saved by write_pool and by a
+load_pool that had to parse the model files. The entry is 32 bytes of key,
+32 bytes of the sha256 of the tensor's bytes in C order, then the tensor as
+np.save writes it. The key is a sha256 over the bytes of the manifest, the
+labels file and every model file in manifest order, this module's source,
+numpy's version, Python's major.minor and the csv field limit in force.
+Each file's digest is taken from the very bytes that are parsed, and a
+model file is hashed apart from its parse only when the manifest has an
+entry to look up, so an entry is never used after any input byte or the
+reader's source changes, and a damaged one is ignored and written again.
+The manifest and the labels file are parsed and PredictionPool's checks
+run on every load, hit or miss. Entries are written best-effort (a
+temporary file, then os.replace over the manifest's entry; an OSError
+leaves the load as it is; a store removes any temporary file a killed
+store left) and the directory is safe to delete.
 
 Pools and correctness matrices are immutable after construction.
 """
@@ -608,26 +608,14 @@ def _pool_key(digests):
     return key.digest()
 
 
-# The tails of the names of a manifest's files in its cache directory, after
-# the manifest's own file name: an entry (the sha256 of its key, then of its
-# payload) and the temporary file of a store.
-_ENTRY_TAIL = r"\.[0-9a-f]{64}\.[0-9a-f]{64}\.npy"
+# The tail of the name of a store's temporary file in the cache directory,
+# after the manifest's own file name.
 _TEMP_TAIL = r"\.[^.]+\.tmp"
 
 
-def _payload_hex(probs):
-    """The sha256 of the bytes of `probs`, in C order, as hex."""
-    return hashlib.sha256(np.ascontiguousarray(probs)).hexdigest()
-
-
-def _cache_files(manifest, tail):
-    """The files in the cache directory beside `manifest` named its file
-    name followed by a match of `tail`."""
-    named = re.compile(re.escape(manifest.name) + tail).fullmatch
-    try:
-        return sorted(p for p in (manifest.parent / _CACHE_DIR).iterdir() if named(p.name))
-    except OSError:
-        return []
+def _entry_path(manifest):
+    """The path of the cache entry beside `manifest`."""
+    return manifest.parent / _CACHE_DIR / f"{manifest.name}.entry"
 
 
 def _cached_probs(manifest, digests, paths, shape):
@@ -635,41 +623,33 @@ def _cached_probs(manifest, digests, paths, shape):
     for the pool whose manifest and labels file have the sha256 `digests`
     and whose model files are at `paths`; None if there is none. The model
     files are hashed only when the manifest has an entry to check."""
-    entries = _cache_files(manifest, _ENTRY_TAIL)
-    if not entries:
-        return None
     try:
-        key = _pool_key([*digests, *map(_file_digest, paths)])
-    except OSError:
+        with _entry_path(manifest).open("rb") as fh:
+            if fh.read(32) != _pool_key([*digests, *map(_file_digest, paths)]):
+                return None
+            digest = fh.read(32)
+            probs = np.load(fh, allow_pickle=False)
+    # MemoryError: a damaged header can claim an array of any size.
+    except (OSError, ValueError, EOFError, MemoryError):
         return None
-    prefix = f"{manifest.name}.{key.hex()}."
-    for entry in entries:
-        if not entry.name.startswith(prefix):
-            continue
-        try:
-            with entry.open("rb") as fh:
-                probs = np.load(fh, allow_pickle=False)
-        # MemoryError: a damaged header can claim an array of any size.
-        except (OSError, ValueError, EOFError, MemoryError):
-            continue
-        if (isinstance(probs, np.ndarray) and probs.dtype == np.float64
-                and probs.shape == shape and entry.name == f"{prefix}{_payload_hex(probs)}.npy"):
-            return probs
+    if (isinstance(probs, np.ndarray) and probs.dtype == np.float64 and probs.shape == shape
+            and hashlib.sha256(np.ascontiguousarray(probs)).digest() == digest):
+        return probs
     return None
 
 
 def _store(manifest, key, probs):
     """Save `probs` as the cache entry beside `manifest` for `key`, through
-    a temporary file and os.replace, then remove that manifest's other
-    entries and temporary files. Raises OSError when the cache cannot be
-    written; it then holds no partial entry."""
+    a temporary file and os.replace, then remove that manifest's temporary
+    files. Raises OSError when the cache cannot be written; it then holds
+    no partial entry."""
     probs = np.ascontiguousarray(probs)
-    cache = manifest.parent / _CACHE_DIR
-    entry = cache / f"{manifest.name}.{key.hex()}.{_payload_hex(probs)}.npy"
-    cache.mkdir(exist_ok=True)
-    fd, temp = tempfile.mkstemp(prefix=f"{manifest.name}.", suffix=".tmp", dir=cache)
+    entry = _entry_path(manifest)
+    entry.parent.mkdir(exist_ok=True)
+    fd, temp = tempfile.mkstemp(prefix=f"{manifest.name}.", suffix=".tmp", dir=entry.parent)
     try:
         with os.fdopen(fd, "wb") as fh:
+            fh.write(key + hashlib.sha256(probs).digest())
             np.save(fh, probs, allow_pickle=False)
         os.replace(temp, entry)
     except BaseException:
@@ -678,9 +658,12 @@ def _store(manifest, key, probs):
         raise
     # A temporary file here was left by a store that was killed, or is being
     # written by another process, whose store then fails as best-effort.
-    for old in _cache_files(manifest, _ENTRY_TAIL) + _cache_files(manifest, _TEMP_TAIL):
-        if old != entry:
-            old.unlink(missing_ok=True)
+    # The match is exact: manifest.json.*.tmp would also take the temporary
+    # files of a manifest named manifest.json.bak.
+    temporary = re.compile(re.escape(manifest.name) + _TEMP_TAIL).fullmatch
+    for path in entry.parent.iterdir():
+        if temporary(path.name):
+            path.unlink(missing_ok=True)
 
 
 def load_pool(manifest_path):

@@ -197,9 +197,6 @@ def _classical(cm, plan, metrics, cfg):
             removed[positions] = _POPCOUNT[all_correct].sum(axis=1)
     capped = cfg.negative_cap is not None and not cfg.use_full_set
     n = cm.n_samples - removed
-    if capped:
-        # A cap of at least N keeps every sample, however far past int64.
-        n = np.minimum(n, min(cfg.negative_cap, cm.n_samples))
     empty = np.flatnonzero(n == 0)
     if empty.size:
         raise _undefined(metrics, plan.team_keys[empty[0]])
@@ -208,10 +205,12 @@ def _classical(cm, plan, metrics, cfg):
     no_failures = np.zeros(len(plan), dtype=bool) if "GD" in metrics else None
     for positions, members in batches:
         if capped:
-            negs = (negative_samples(cm, ids, ANY_MEMBER_ERRS, cfg.seed, cfg.negative_cap)
-                    for ids in members)
-            counts = np.stack([gram(cm.bits[ids][:, list(neg.sample_indices)])
-                               for ids, neg in zip(members, negs)])
+            grams = []
+            for position, ids in zip(positions, members):
+                neg = negative_samples(cm, ids, ANY_MEMBER_ERRS, cfg.seed, cfg.negative_cap)
+                grams.append(gram(cm.bits[ids][:, list(neg.sample_indices)]))
+                n[position] = len(neg)
+            counts = np.stack(grams)
         else:
             counts = g[members[:, :, None], members[:, None, :]] - removed[positions, None, None]
         batch, flags = classical_batch(counts, n[positions], metrics)

@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import re
 import subprocess
 import sys
 import warnings
@@ -15,6 +14,7 @@ from sqdiv.pool import correctness, load_pool, write_pool
 from sqdiv.qmetrics import DiversityScore
 from sqdiv.scoring import FocalResult, ScoreConfig, SQBreakdown, score_team
 from sqdiv.selection import select_and_evaluate
+from sqdiv.synth import default_spec, generate
 from sqdiv.teams import consensus, make_team
 
 from _pools import pool_from_labels, random_pool
@@ -52,14 +52,29 @@ def test_simulate_writes_expected_files(tmp_path, capsys):
     files = sorted(p.name for p in out.iterdir())
     assert files == [".sqdiv-cache", "labels.csv", "manifest.json", "model_00.csv",
                      "model_01.csv", "model_02.csv", "model_03.csv"]
-    [entry] = (out / ".sqdiv-cache").iterdir()
-    assert re.fullmatch(r"manifest\.json\.[0-9a-f]{64}\.[0-9a-f]{64}\.npy", entry.name)
+    assert [p.name for p in (out / ".sqdiv-cache").iterdir()] == ["manifest.json.entry"]
     assert "pool fingerprint" in stdout
     assert "planted team" in stdout
 
     pool = load_pool(out / "manifest.json")
     fingerprint = stdout.splitlines()[0].split()[-1]
     assert pool.fingerprint() == fingerprint
+
+
+@pytest.mark.parametrize("sizes", [None, (12, 1000, 15, 3), (4, 50, 3, 1)], ids=str)
+def test_simulate_generates_default_spec(tmp_path, capsys, sizes):
+    """simulate's flag defaults are default_spec's, which the benchmark
+    relies on to check the pool simulate reports."""
+    argv = ["simulate", "--out", str(tmp_path / "pool")]
+    spec = default_spec()
+    if sizes is not None:
+        m, n, c, seed = sizes
+        argv += ["--models", str(m), "--samples", str(n), "--classes", str(c),
+                 "--seed", str(seed)]
+        spec = default_spec(m, n, c, seed=seed)
+    code, stdout, _ = run(argv, capsys)
+    assert code == 0
+    assert stdout.splitlines()[0] == f"pool fingerprint {generate(spec).fingerprint()}"
 
 
 def test_simulate_repeats_identically(tmp_path, capsys):
@@ -416,6 +431,23 @@ def test_bad_config_is_usage_error(sim_pool, tmp_path, capsys, config, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"w-alpha": 0.5, "w_alpha": 2.0}', "config key repeats: 'w-alpha' and 'w_alpha'"),
+    ('{"topk": 3, "topk": 5}', "config key repeats: 'topk' and 'topk'"),
+    ('{"bogus": null}', "config key names no flag: bogus"),
+], ids=["dash-and-underscore", "same-key", "unknown-null"])
+def test_repeated_or_unknown_config_key_is_usage_error(sim_pool, tmp_path, capsys,
+                                                       text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    code, _, err = run(
+        ["select", "--pool", str(sim_pool), "--config", str(path), "--out", str(out)], capsys
+    )
+    assert (code, err) == (2, f"usage error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "select"])
 def test_non_finite_config_weight_is_usage_error(sim_pool, tmp_path, capsys, command):
     path = tmp_path / "cfg.json"
@@ -586,7 +618,8 @@ def test_config_value_is_refused_as_the_typed_flag_is(sim_pool, tmp_path, capsys
     (["select"], ["--metric", "qs", "--consensus", "majority", "--full-set", "--topk", "4"],
      {"metric": "qs", "consensus": "majority", "full-set": True, "topk": 4}),
     (["select"], ["--alpha-on", "correctness", "--neg-cap", "9", "--seed", "2"],
-     {"metric": "sq", "alpha-on": "correctness", "neg_cap": 9, "seed": 2}),
+     {"metric": "sq", "alpha-on": "correctness", "neg_cap": 9, "seed": 2,
+      "max-size": None, "full_set": None}),
     (_INSPECT, ["--consensus", "majority"], {"consensus": "majority"}),
 ], ids=["evaluate-capped", "evaluate-spearman", "select-qs", "select-sq", "inspect"])
 def test_config_writes_what_the_typed_flags_write(sim_pool, tmp_path, capsys,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -237,6 +238,12 @@ def _cache_files(manifest):
     return sorted(p.name for p in cache.iterdir()) if cache.is_dir() else []
 
 
+def _cache_bytes(manifest):
+    """{name: bytes} of the files in the cache directory beside `manifest`."""
+    return {name: (manifest.parent / ".sqdiv-cache" / name).read_bytes()
+            for name in _cache_files(manifest)}
+
+
 def _drop_cache(manifest):
     shutil.rmtree(manifest.parent / ".sqdiv-cache")
 
@@ -272,8 +279,8 @@ def _check_malformed_rows(write_manifest, tmp_path, forked):
     # Every case runs beside a cache entry for the unmodified files, which
     # no load that fails replaces.
     load_pool(manifest)
-    warm = _cache_files(manifest)
-    assert len(warm) == 1
+    warm = _cache_bytes(manifest)
+    assert list(warm) == ["manifest.json.entry"]
     if forked is not None:
         forked.clear()
 
@@ -363,7 +370,7 @@ def _check_malformed_rows(write_manifest, tmp_path, forked):
                     load_pool(manifest)
             assert str(info.value) == f"{context} file is empty: {path}"
         path.write_bytes(kept)
-    assert _cache_files(manifest) == warm
+    assert _cache_bytes(manifest) == warm
 
 
 def _edit(name, old, new):
@@ -797,7 +804,7 @@ def test_forked_load_raises_the_first_fault_in_file_order(tmp_path, monkeypatch,
 def test_worker_that_dies_costs_only_time(tmp_path, monkeypatch, forked):
     manifest = _spread_pool(tmp_path / "pool")
     expected = load_pool(manifest)
-    entry = _cache_files(manifest)
+    entry = _cache_bytes(manifest)
     parent = os.getpid()
     read, write = sqpool._read_predictions, sqpool._write_csv
 
@@ -846,13 +853,13 @@ def test_worker_that_dies_costs_only_time(tmp_path, monkeypatch, forked):
     pool, parsed = _load(manifest)
     assert parsed and len(forked) == 2
     _assert_same_pool(pool, expected)
-    assert _cache_files(manifest) == entry
+    assert _cache_bytes(manifest) == entry
 
 
 def test_worker_killed_partway_costs_only_time(tmp_path, monkeypatch, forked):
     manifest = _spread_pool(tmp_path)
     expected = load_pool(manifest)
-    entry = _cache_files(manifest)
+    entry = _cache_bytes(manifest)
     parent = os.getpid()
     read = sqpool._read_predictions
 
@@ -867,7 +874,7 @@ def test_worker_killed_partway_costs_only_time(tmp_path, monkeypatch, forked):
     pool, parsed = _load(manifest)
     assert parsed and len(forked) == 2
     _assert_same_pool(pool, expected)
-    assert _cache_files(manifest) == entry
+    assert _cache_bytes(manifest) == entry
 
 
 def test_serial_load_reads_each_file_once_up_to_the_fault(tmp_path, monkeypatch, forked):
@@ -994,29 +1001,32 @@ def test_cache_never_serves_changed_input(write_manifest, tmp_path, monkeypatch)
     assert pool.probs[1, 0].tolist() == [0.8, 0.2]
 
 
-def _damaged_entries(probs):
-    """Each damaged form of an entry holding `probs`, as file bytes."""
+def _damaged_entries(entry):
+    """Each damaged form of the cache entry whose bytes are `entry`, as file
+    bytes. All but a wrong key keep the entry's key and tensor digest, so
+    the damage reaches np.load and the digest check."""
+    header, probs = entry[:64], np.load(io.BytesIO(entry[64:]))
 
     def saved(array, save=np.save, **kwargs):
         buffer = io.BytesIO()
         save(buffer, array, **kwargs)
-        return buffer.getvalue()
+        return header + buffer.getvalue()
 
-    good = saved(probs)
     changed = probs.copy()
     changed[0, 0, 0] = np.nextafter(changed[0, 0, 0], 1.0)
     huge = io.BytesIO()
     np.lib.format.write_array_header_1_0(
         huge, {"descr": "<f8", "fortran_order": False, "shape": (1 << 40, 2, 2)})
     return {
-        "truncated": good[:len(good) - 8],
-        "not .npy": b"probabilities\n",
+        "truncated": entry[:len(entry) - 8],
+        "not .npy": header + b"probabilities\n",
         "npz archive": saved(probs, save=np.savez),
         "pickled": saved(probs.astype(object), allow_pickle=True),
         "float32": saved(probs.astype(np.float32)),
         "shape": saved(probs.reshape(probs.shape[0], -1)),
-        "huge shape": huge.getvalue() + probs.tobytes(),
-        "digest": saved(changed),
+        "huge shape": header + huge.getvalue() + probs.tobytes(),
+        "changed tensor": saved(changed),
+        "key": bytes([entry[0] ^ 1]) + entry[1:],
     }
 
 
@@ -1025,8 +1035,12 @@ def test_damaged_entry_is_ignored_and_rewritten(tmp_path):
     [name] = _cache_files(manifest)
     entry = tmp_path / ".sqdiv-cache" / name
     good = entry.read_bytes()
-    expected = load_pool(manifest)
-    for damage, data in _damaged_entries(expected.probs).items():
+    expected, parsed = _load(manifest)
+    assert not parsed
+    buffer = io.BytesIO()
+    np.save(buffer, expected.probs)
+    assert good[32:] == hashlib.sha256(expected.probs).digest() + buffer.getvalue()
+    for damage, data in _damaged_entries(good).items():
         entry.write_bytes(data)
         pool, parsed = _load(manifest)
         assert parsed, damage
@@ -1061,16 +1075,19 @@ def test_new_entry_replaces_only_its_manifests_older_ones(tmp_path):
     other = tmp_path / "other.json"
     shutil.copyfile(manifest, other)
     load_pool(other)
-    [old, kept] = _cache_files(manifest)
-    assert kept.startswith("other.json.")
+    old = _cache_bytes(manifest)
+    assert list(old) == ["manifest.json.entry", "other.json.entry"]
     model = tmp_path / "model_00.csv"
     lines = model.read_text().splitlines(keepends=True)
     model.write_text(lines[0] + "".join(reversed(lines[1:])))
     _, parsed = _load(manifest)
     assert parsed
-    [new, still] = _cache_files(manifest)
-    assert new.startswith("manifest.json.") and new != old
-    assert still == kept
+    new = _cache_bytes(manifest)
+    assert list(new) == list(old)
+    assert new["manifest.json.entry"] != old["manifest.json.entry"]
+    assert new["other.json.entry"] == old["other.json.entry"]
+    _, parsed = _load(manifest)
+    assert not parsed
 
 
 def test_store_removes_temporary_files_a_killed_store_left(tmp_path, monkeypatch):
