@@ -8,17 +8,18 @@ else.
 
 Exit codes: 0 success, 1 runtime or data failure, 2 usage error. The library
 validators decide which flag values are usage errors, and --out is created
-only after every check has passed.
+only after every check has passed. Every refusal is one stderr line,
+"usage error: ..." or "error: ...", argparse's own included; -h prints help.
 
 A --config JSON file supplies flag values; keys use underscores or dashes.
 Each value is typed as --flag=value right after the subcommand name, so
 argparse checks it as a typed flag, and argv's own flags, coming later,
 win; true types a switch and false leaves it off, and null keeps the
 default. A list, an object, a true/false for a non-switch flag, a key that
-names no flag of any subcommand, null or not, and a key that repeats once
-dashes become underscores are usage errors; a key that names only another
-subcommand's flag is ignored, so one config file can serve every
-subcommand.
+names no flag of any subcommand, null or not, a key that repeats once
+dashes become underscores and a "config" key are usage errors; a key that
+names only another subcommand's flag is ignored, so one config file can
+serve every subcommand.
 """
 
 from __future__ import annotations
@@ -72,9 +73,16 @@ def _usage(prefix=""):
         raise UsageError(f"{prefix}{exc}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals, its subparsers' too, are usage errors."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser():
     """Return the sqdiv parser and its subparsers by command name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sqdiv",
         description="Select high-accuracy classifier ensembles by diversity scoring.",
     )
@@ -173,6 +181,8 @@ def _parse(argv):
     args = parser.parse_args(argv)
     if args.config:
         config = _read_config(args.config)
+        if "config" in config:
+            raise UsageError("config key names another config file: config")
         defaults = {name: vars(p.parse_args([])) for name, p in commands.items()}
         unknown = sorted(set(config).difference(*defaults.values()))
         if unknown:

@@ -80,6 +80,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .teams import _member_ids
+
 # Row sums farther than this from 1 are rejected outright.
 ROW_SUM_TOL = 1e-6
 # Rows closer to 1 than this are left untouched by renormalization, so a
@@ -244,10 +246,9 @@ def correctness(pool):
 
 
 def model_accuracy(cm, model_id):
-    """Fraction of samples the model gets right."""
-    if not 0 <= int(model_id) < cm.n_models:
-        raise ValueError(f"model_id {model_id} out of range (pool has {cm.n_models})")
-    return float(cm.bits[int(model_id)].mean())
+    """Fraction of samples the model gets right (model_id checked as a team member's)."""
+    (model_id,) = _member_ids([model_id], cm.n_models, 1)
+    return float(cm.bits[model_id].mean())
 
 
 def _first_bad_row(probs):
@@ -496,7 +497,8 @@ def _read_manifest(path):
                 f"{where}: 'predictions_path' must be a non-empty string: {path}"
             )
         models.append(ModelRecord(position, str(entry.get("name", f"model-{position}")), rel))
-    declared = [e.get("id") for e in entries]
+    # Model ids are positional; only the ids entries declare must not repeat.
+    declared = [e["id"] for e in entries if e.get("id") is not None]
     if len(set(declared)) != len(declared):
         raise PoolFormatError(f"duplicate model ids in manifest: {path}")
     return classes, labels_path, models, digest

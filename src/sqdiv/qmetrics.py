@@ -39,6 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .teams import _member_ids
+
 ANY_MEMBER_ERRS = "any-member-errs"
 FOCAL_ERRS = "focal-errs"
 
@@ -81,25 +83,19 @@ class DiversityScore:
     note: str | None = None
 
 
-def _member_ids(team):
-    ids = tuple(getattr(team, "member_ids", team))
-    return tuple(int(i) for i in ids)
-
-
 def negative_samples(cm, team, mode=ANY_MEMBER_ERRS, seed=0, cap=None, focal_id=None):
     """Collect the qualifying sample subset for a team.
 
     Returns every qualifying sample when cap is None, otherwise a uniform
     random subset of size min(cap, qualifying count) drawn with the seed.
     An empty qualifying set is not an error; callers decide what it means.
+    team and focal_id are checked as teams.make_team checks a team.
     """
-    members = _member_ids(team)
-    if any(m < 0 or m >= cm.n_models for m in members):
-        raise ValueError("team member outside the pool")
+    members = _member_ids(team, cm.n_models)
     if mode == ANY_MEMBER_ERRS:
         qualifying = np.flatnonzero(~cm.bits[list(members)].all(axis=0))
     elif mode == FOCAL_ERRS:
-        if focal_id is None or focal_id not in members:
+        if focal_id is None or _member_ids([focal_id], cm.n_models, 1)[0] not in members:
             raise ValueError("focal-errs mode needs a focal_id within the team")
         qualifying = np.flatnonzero(~cm.bits[int(focal_id)])
     else:

@@ -68,21 +68,27 @@ def team_key_for(member_ids, n_models):
     return ("" if n_models <= 10 else "-").join(map(str, member_ids))
 
 
-def make_team(team, n_models):
-    """A checked EnsembleTeam, its members sorted, from an EnsembleTeam or a
-    sequence of member ids; ValueError on an id that is not an integer (a
-    bool is not), a repeated member, fewer than 2 members or a member
-    outside the pool's n_models."""
+def _member_ids(team, n_models, least=2):
+    """The member ids of team, an EnsembleTeam or a sequence of ids, sorted,
+    as ints: the library's one member-id check. ValueError on an id that is
+    not an integer (a bool is not), a repeated id, fewer than `least` ids or
+    an id outside the pool's n_models."""
     ids = tuple(team)
     if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in ids):
         raise ValueError(f"team member ids must be integers, got {ids!r}")
     ids = tuple(sorted(int(i) for i in ids))
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate member ids in team")
-    if len(ids) < 2:
-        raise ValueError("a team needs at least 2 members")
+    if len(ids) < least:
+        raise ValueError(f"a team needs at least {least} members")
     if ids[0] < 0 or ids[-1] >= n_models:
-        raise ValueError("team member outside the pool")
+        raise ValueError(f"member ids {ids} out of range: outside the pool's {n_models} models")
+    return ids
+
+
+def make_team(team, n_models):
+    """A checked EnsembleTeam from an EnsembleTeam or member ids (see _member_ids)."""
+    ids = _member_ids(team, n_models)
     return EnsembleTeam(member_ids=ids, team_key=team_key_for(ids, n_models))
 
 
@@ -154,8 +160,8 @@ class TeamPlan:
 
 def team_plan(teams, n_models):
     """teams as a TeamPlan: a TeamPlan as it is, or a sequence of
-    EnsembleTeams in its order. Raises ValueError for a team that make_team
-    would reject or whose ids are not strictly increasing."""
+    EnsembleTeams in its order. Raises ValueError for a team that is not
+    what make_team makes of it, sorted ids and team_key_for's key."""
     if isinstance(teams, TeamPlan):
         if teams.n_models != n_models:
             raise ValueError(f"a plan for {teams.n_models} models on a {n_models}-model pool")
@@ -165,12 +171,12 @@ def team_plan(teams, n_models):
     for pos, team in enumerate(teams):
         ids = tuple(team.member_ids)
         try:
-            if make_team(ids, n_models).member_ids != ids:
+            if make_team(ids, n_models) != EnsembleTeam(ids, team.team_key):
                 raise ValueError
         except ValueError:
             raise ValueError(
-                f"bad team {ids}: a team needs at least 2 integer members, in strictly "
-                f"increasing order, each below the pool's {n_models} models"
+                f"bad team {ids} keyed {team.team_key!r}: a team is at least 2 integer ids, "
+                f"strictly increasing, each below {n_models}, keyed as team_key_for keys them"
             ) from None
         by_size.setdefault(len(ids), []).append((pos, ids))
     groups = [(np.array([p for p, _ in group], dtype=np.int64),

@@ -23,7 +23,7 @@ from _pools import pool_from_labels, random_pool
 def run(args, capsys):
     try:
         code = main(args)
-    except SystemExit as exc:  # argparse's own usage errors
+    except SystemExit as exc:  # -h and --help
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -448,6 +448,49 @@ def test_repeated_or_unknown_config_key_is_usage_error(sim_pool, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["select", "--topk", "2.5"], None, "argument --topk: invalid int value: '2.5'"),
+    (["select"], {"topk": 2.5}, "argument --topk: invalid int value: '2.5'"),
+    (["select", "--bogus"], None, "unrecognized arguments: --bogus"),
+    ([], None, "the following arguments are required: command"),
+], ids=["typed-value", "config-value", "unknown-flag", "no-subcommand"])
+def test_argparse_refusal_is_one_usage_error_line(sim_pool, tmp_path, capsys,
+                                                  argv, config, message):
+    """argparse's refusals are usage errors as every other one is: one
+    stderr line, no usage synopsis, exit 2 and no --out."""
+    out = tmp_path / "out"
+    if argv:
+        argv = argv + ["--pool", str(sim_pool), "--out", str(out)]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert run(argv, capsys) == (2, "", f"usage error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["select", "-h"], ["simulate", "--help"]], ids=" ".join)
+def test_help_still_prints_and_exits_zero(capsys, argv):
+    code, stdout, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert stdout.startswith("usage: sqdiv")
+
+
+@pytest.mark.parametrize("config", [{"config": "nope.json", "topk": 3}, {"config": None}],
+                         ids=["named", "null"])
+def test_config_key_naming_a_config_file_is_usage_error(sim_pool, tmp_path, capsys, config):
+    """A config file cannot name another: the key was typed, then never
+    opened."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code, _, err = run(
+        ["select", "--pool", str(sim_pool), "--config", str(path), "--out", str(out)], capsys
+    )
+    assert (code, err) == (2, "usage error: config key names another config file: config\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "select"])
 def test_non_finite_config_weight_is_usage_error(sim_pool, tmp_path, capsys, command):
     path = tmp_path / "cfg.json"
@@ -661,6 +704,49 @@ def test_malformed_manifest_is_a_load_error(sim_pool, tmp_path, capsys, edit, ke
     assert code == 1
     assert err.startswith("error: manifest key ") and err.count("\n") == 1
     assert key in err and str(sim_pool) in err
+    assert not out.exists()
+
+
+def _artifacts(manifest, tmp_path, capsys, name):
+    """Every file evaluate and select write from the pool at manifest, with
+    their stdout (the --out path replaced)."""
+    written = {}
+    for argv in (["evaluate", "--consensus", "majority"], ["select", "--metric", "qs"]):
+        out = tmp_path / f"{name}-{argv[0]}"
+        code, stdout, err = run(argv + ["--pool", str(manifest), "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        written[argv[0]] = stdout.replace(str(out), "OUT")
+        written.update({f"{argv[0]}/{p.name}": p.read_bytes() for p in sorted(out.iterdir())})
+    return written
+
+
+@pytest.mark.parametrize("ids", [[None] * 4, ["omit"] * 4, ["omit", 1, None, "omit"]],
+                         ids=["all-null", "all-omitted", "mixed"])
+def test_model_entries_without_id_load_as_positional_ids(sim_pool, tmp_path, capsys, ids):
+    """Model ids are positional, so an entry need not declare one: a
+    manifest whose entries omit `id` (or give null) loads and writes what the
+    manifest with ids 0..M-1 writes."""
+    manifest = json.loads(sim_pool.read_text())
+    assert [e["id"] for e in manifest["models"]] == [0, 1, 2, 3]
+    expected = _artifacts(sim_pool, tmp_path, capsys, "ids")
+    for entry, value in zip(manifest["models"], ids):
+        if value == "omit":
+            del entry["id"]
+        else:
+            entry["id"] = value
+    stripped = sim_pool.with_name("stripped.json")
+    stripped.write_text(json.dumps(manifest))
+    assert _artifacts(stripped, tmp_path, capsys, "stripped") == expected
+
+
+def test_equal_declared_model_ids_still_fail(sim_pool, tmp_path, capsys):
+    manifest = json.loads(sim_pool.read_text())
+    del manifest["models"][0]["id"], manifest["models"][2]["id"]
+    manifest["models"][3]["id"] = 1
+    sim_pool.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    code, _, err = run(["select", "--pool", str(sim_pool), "--out", str(out)], capsys)
+    assert (code, err) == (1, f"error: duplicate model ids in manifest: {sim_pool}\n")
     assert not out.exists()
 
 

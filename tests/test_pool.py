@@ -562,8 +562,14 @@ def test_model_accuracy_values():
     cm = correctness(pool)
     assert model_accuracy(cm, 0) == 0.75
     assert model_accuracy(cm, 1) == 0.25
+    assert model_accuracy(cm, np.int64(1)) == 0.25
     with pytest.raises(ValueError, match="out of range"):
         model_accuracy(cm, 2)
+    # An id is checked as make_team checks a member id: 1.0 is not model 1,
+    # nor True model 1 or False model 0.
+    for model_id in (-1, 0.9, 1.0, True, np.bool_(False), "1"):
+        with pytest.raises(ValueError):
+            model_accuracy(cm, model_id)
 
 
 def test_headline_single_model_accuracy_shape():

@@ -78,6 +78,12 @@ def test_negative_samples_validation():
         negative_samples(cm, (0, 5))
     with pytest.raises(ValueError, match="focal"):
         negative_samples(cm, (0, 1), mode=FOCAL_ERRS, focal_id=None)
+    # A focal id is checked as make_team checks a member id: 1.0 and True are
+    # not model 1.
+    for focal in (1.0, True, np.bool_(True), 1.5, -1, 2):
+        with pytest.raises(ValueError):
+            negative_samples(cm, (0, 1), mode=FOCAL_ERRS, focal_id=focal)
+    assert negative_samples(cm, (0, 1), mode=FOCAL_ERRS, focal_id=np.int64(1)).focal_id == 1
     with pytest.raises(ValueError, match="mode"):
         negative_samples(cm, (0, 1), mode="sideways")
     with pytest.raises(ValueError, match="cap"):

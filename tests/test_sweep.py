@@ -234,16 +234,35 @@ _BATCH_PATHS = ((list(CLASSICAL), ScoreConfig()),
                 (["SQ"], ScoreConfig()))
 
 
-@pytest.mark.parametrize("ids", [(-1, 0), (0, 9), (0,), (1, 1), (2, 0), (0, 1.9), (True, 2),
-                                 (0, 2.0), (np.bool_(True), 2)],
-                         ids=["negative-id", "id-past-pool", "one-member", "repeated-member",
-                              "unsorted", "float", "bool", "integral-float", "numpy-bool"])
-def test_batch_paths_reject_bad_teams(ids):
-    """score_teams and team_accuracy_table check every team as make_team
-    does, also an EnsembleTeam built without it."""
+@pytest.mark.parametrize("ids, key", [
+    ((-1, 0), None), ((0, 9), None), ((0,), None), ((1, 1), None), ((2, 0), "02"),
+    ((0, 1.9), None), ((True, 2), None), ((0, 2.0), None), ((np.bool_(True), 2), None),
+    ((0, 1), "23"),
+], ids=["negative-id", "id-past-pool", "one-member", "repeated-member", "unsorted", "float",
+        "bool", "integral-float", "numpy-bool", "wrong-key"])
+def test_batch_paths_reject_bad_teams(ids, key):
+    """One table of bad teams for every entry point. make_team, consensus,
+    score_team and negative_samples in both modes refuse bad member ids.
+    score_teams and team_accuracy_table refuse a sequence holding an
+    EnsembleTeam that is not what make_team makes of it: bad ids, ids out of
+    order, or a key team_key_for would not give."""
     pool = generate(default_spec(n_models=4, n_samples=50, n_classes=3, seed=1))
     cm = correctness(pool)
-    teams = [make_team((0, 1), 4), EnsembleTeam(member_ids=ids, team_key="x")]
+    if key is None:
+        # The key of the ids' set, so only the ids are at fault.
+        key = "".join(map(str, sorted(ids)))
+        focal = next(i for i in ids if type(i) is int and 0 <= i < 4)
+        refusals = [
+            lambda: make_team(ids, 4),
+            *(lambda m=m: consensus(pool, ids, m) for m in (SOFT, MAJORITY)),
+            *(lambda m=m: score_team(pool, cm, ids, m) for m in ("BD", "SQ")),
+            lambda: negative_samples(cm, ids),
+            lambda: negative_samples(cm, ids, FOCAL_ERRS, focal_id=focal),
+        ]
+        for refusal in refusals:
+            with pytest.raises(ValueError):
+                refusal()
+    teams = [make_team((1, 3), 4), EnsembleTeam(member_ids=ids, team_key=key)]
     for metrics, cfg in _BATCH_PATHS:
         with pytest.raises(ValueError, match="bad team"):
             score_teams(pool, cm, teams, metrics, cfg)
@@ -300,14 +319,16 @@ def test_plan_and_team_sequences_score_alike(seed, m):
 
 def test_score_teams_rejects_a_repeated_team_key():
     """A column holds one score per team key, so score_teams refuses a team
-    key given twice: a repeated team, or a hand-built team that reuses
-    another's key. team_accuracy_table takes repeated teams."""
+    key given twice: a repeated team. A hand-built team that reuses
+    another's key is refused before that, as a team whose key is not the one
+    team_key_for gives. team_accuracy_table takes repeated teams."""
     pool = generate(default_spec(n_models=4, n_samples=50, n_classes=3, seed=1))
     cm = correctness(pool)
     a, b = make_team((0, 1), 4), make_team((1, 3), 4)
-    for teams in ([a, b, a], [a, EnsembleTeam(member_ids=(1, 3), team_key="01")]):
+    for teams, message in (([a, b, a], "team key '01' repeated"),
+                           ([a, EnsembleTeam(member_ids=(1, 3), team_key="01")], "bad team")):
         for metrics, cfg in _BATCH_PATHS:
-            with pytest.raises(ValueError, match="team key '01' repeated"):
+            with pytest.raises(ValueError, match=message):
                 score_teams(pool, cm, teams, metrics, cfg)
     assert team_accuracy_table(pool, [a, b, a]).shape == (3,)
 
