@@ -12,8 +12,7 @@ everything else is imported from its module (sqdiv.pool, sqdiv.scoring, ...).
 
 from .analytics import correlation_report
 from .pool import correctness, load_pool
-from .qmetrics import classical_scores
-from .scoring import ScoreConfig, score_team, score_teams
+from .scoring import ScoreConfig, classical_scores, score_team, score_teams
 from .selection import rank_teams, select_and_evaluate
 from .teams import enumerate_teams
 

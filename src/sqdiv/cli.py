@@ -35,7 +35,7 @@ import numpy as np
 
 from .analytics import case_study, pearson, spearman, sweep
 from .pool import PoolFormatError, _read_text, correctness, load_pool, write_pool
-from .scoring import ScoreConfig, normalize_metric
+from .scoring import ScoreConfig, normalize_metric, normalize_metrics
 from .selection import select_and_evaluate
 from .synth import SynthSpec, contiguous_groups, generate, planted_best_team
 from .teams import count_teams, make_team, parse_team_key
@@ -287,12 +287,8 @@ def cmd_simulate(args):
 
 def cmd_evaluate(args):
     _require(args, "pool", "out")
-    with _usage():
-        metrics = [normalize_metric(m) for m in args.metrics.split(",") if m.strip()]
-        if not metrics:
-            raise ValueError("--metrics lists no metrics")
-        if len(set(metrics)) != len(metrics):
-            raise ValueError(f"--metrics repeats a metric: {args.metrics}")
+    with _usage("--metrics: "):
+        metrics = normalize_metrics([m for m in args.metrics.split(",") if m.strip()])
     cfg = _score_config(args)
     pool, n_teams = _load_checked(args)
     if n_teams < 2 and pool.n_models > 2:

@@ -497,8 +497,9 @@ def _read_manifest(path):
                 f"{where}: 'predictions_path' must be a non-empty string: {path}"
             )
         models.append(ModelRecord(position, str(entry.get("name", f"model-{position}")), rel))
-    # Model ids are positional; only the ids entries declare must not repeat.
-    declared = [e["id"] for e in entries if e.get("id") is not None]
+    # Model ids are positional; only declared ids must not repeat, compared
+    # as the JSON values they are written as (true is not 1, 0.0 is not 0).
+    declared = [json.dumps(e["id"]) for e in entries if e.get("id") is not None]
     if len(set(declared)) != len(declared):
         raise PoolFormatError(f"duplicate model ids in manifest: {path}")
     return classes, labels_path, models, digest

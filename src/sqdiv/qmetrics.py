@@ -1,4 +1,4 @@
-"""Classical team diversity metrics over correctness outcomes.
+"""Count formulas of the classical team diversity metrics, and sampling.
 
 All metrics read a team's rows of the correctness matrix restricted to an
 evaluation subset, usually the negative samples (those where at least one
@@ -22,12 +22,11 @@ count of correct members:
 
 classical_batch scores a batch of teams at once from each team's
 both-correct counts on its own subset, as one float array per metric;
-classical_scores scores one team's rows on an explicit subset. SQ's
-agreement term shares CK's kappa, taken from exact integer counts.
-Degenerate denominators resolve to the metric's "no diversity information"
+negative_samples draws a team's subset. scoring checks metric names and
+attaches notes. SQ's agreement term shares CK's kappa, taken from exact
+integer counts. Degenerate denominators resolve to the metric's "no diversity information"
 value instead of raising, so a sweep over thousands of candidate teams
-never aborts mid-run; only a team of fewer than 2 members or an empty
-subset is an error.
+never aborts mid-run.
 
 Everything here is a pure function of immutable inputs and safe to call
 concurrently across teams.
@@ -45,8 +44,6 @@ ANY_MEMBER_ERRS = "any-member-errs"
 FOCAL_ERRS = "focal-errs"
 
 CLASSICAL = ("CK", "QS", "BD", "GD", "KW")
-# The note a GD score carries when no member fails on any sample.
-NO_FAILURES = "no-failures"
 
 
 class UndefinedDiversityError(ValueError):
@@ -89,10 +86,13 @@ def negative_samples(cm, team, mode=ANY_MEMBER_ERRS, seed=0, cap=None, focal_id=
     Returns every qualifying sample when cap is None, otherwise a uniform
     random subset of size min(cap, qualifying count) drawn with the seed.
     An empty qualifying set is not an error; callers decide what it means.
-    team and focal_id are checked as teams.make_team checks a team.
+    team and focal_id are checked as teams.make_team checks a team; a
+    focal_id is refused in any-member-errs mode, which has no focal.
     """
     members = _member_ids(team, cm.n_models)
     if mode == ANY_MEMBER_ERRS:
+        if focal_id is not None:
+            raise ValueError("any-member-errs mode takes no focal_id")
         qualifying = np.flatnonzero(~cm.bits[list(members)].all(axis=0))
     elif mode == FOCAL_ERRS:
         if focal_id is None or _member_ids([focal_id], cm.n_models, 1)[0] not in members:
@@ -208,35 +208,3 @@ def classical_batch(counts, n, metrics):
             out["KW"] = (k * sum_c - sum_c2) / (n * k * k)
     return out, no_failures
 
-
-def classical_scores(sub, metrics):
-    """Score one team's correctness rows with each requested classical metric.
-
-    sub is the team's rows of the correctness matrix restricted to an
-    evaluation subset (members x samples): classical_batch on its Gram
-    matrix, as a batch of one team. Metric names are matched without case
-    or edge whitespace. Returns {metric: DiversityScore}, keyed by the
-    upper-case name. Raises ValueError for a name outside CLASSICAL or fewer
-    than 2 members, and UndefinedDiversityError for an empty subset.
-    """
-    names = []
-    for metric in metrics:
-        name = str(metric).strip().upper()
-        if name not in CLASSICAL:
-            raise ValueError(
-                f"not a classical metric: {metric!r} (choose from {', '.join(CLASSICAL)})"
-            )
-        names.append(name)
-    k, n = sub.shape
-    if k < 2:
-        raise ValueError("classical metrics need a team of at least 2 members")
-    if n == 0:
-        raise UndefinedDiversityError(names[0])
-    values, no_failures = classical_batch(gram(sub)[None], [n], names)
-    return {
-        metric: DiversityScore(
-            metric, float(column[0]),
-            note=NO_FAILURES if metric == "GD" and no_failures[0] else None,
-        )
-        for metric, column in values.items()
-    }

@@ -1,7 +1,9 @@
 """Metric registry and the team scorer.
 
-score_teams is the only scorer; score_team is score_teams run on one team.
-It takes a TeamPlan (teams.enumerate_teams) or a sequence of teams, made a
+score_teams is the only scorer; score_team is score_teams run on one team,
+and classical_scores is it run on one team's rows on an explicit subset.
+normalize_metrics is the one rule for a list of metric names. score_teams
+takes a TeamPlan (teams.enumerate_teams) or a sequence of teams, made a
 plan once, and scores the plan's size batches of member arrays. A batch's
 classical metrics come from each team's pair counts on its negative set,
 or on all samples (qmetrics.classical_batch): the pool's correctness Gram
@@ -47,11 +49,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pool import CorrectnessMatrix
 from .qmetrics import (
     ANY_MEMBER_ERRS,
     CLASSICAL,
     FOCAL_ERRS,
-    NO_FAILURES,
     DiversityScore,
     UndefinedDiversityError,
     classical_batch,
@@ -63,6 +65,8 @@ from .qmetrics import (
 from .teams import make_team, team_plan
 
 METRICS = (*CLASSICAL, "SQ")
+# The note a GD score carries when no member fails on any sample.
+NO_FAILURES = "no-failures"
 # The note an SQ score carries when every member is a skipped focal.
 ALL_FOCALS_SKIPPED = "all-focals-skipped"
 
@@ -84,6 +88,17 @@ def normalize_metric(metric):
     if name not in METRICS:
         raise ValueError(f"unknown metric: {metric!r} (choose from {', '.join(METRICS)})")
     return name
+
+
+def normalize_metrics(metrics):
+    """A metric list's names, normalized, in order: the one list rule.
+    ValueError for an unknown name, a repeated one or an empty list."""
+    names = [normalize_metric(m) for m in metrics]
+    if not names:
+        raise ValueError("no metrics requested")
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate metrics requested")
+    return names
 
 
 def metric_direction(metric):
@@ -380,14 +395,12 @@ def score_teams(pool, cm, teams, metrics, cfg=ScoreConfig()):
     skipped the "all-focals-skipped" note; an SQ score's .detail is the
     team's SQBreakdown. Classical-metric errors on a degenerate team abort
     the sweep naming the first such team in input order. Raises ValueError,
-    before any scoring, for a team key that appears twice and for a team
-    that teams.team_plan rejects; and, naming the SQ weights, when an SQ
-    score overflows the float range.
+    before any scoring, for a metric list that normalize_metrics rejects,
+    a team key that appears twice and a team that teams.team_plan rejects;
+    and, naming the SQ weights, when an SQ score overflows the float range.
     """
     plan = team_plan(teams, cm.n_models)
-    metrics = [normalize_metric(m) for m in metrics]
-    if len(set(metrics)) != len(metrics):
-        raise ValueError("duplicate metrics requested")
+    metrics = normalize_metrics(metrics)
     keys, sizes = plan.team_keys, plan.team_sizes
     if len(set(keys)) != len(keys):
         repeated = next(key for key, n in Counter(keys).items() if n > 1)
@@ -410,3 +423,17 @@ def score_teams(pool, cm, teams, metrics, cfg=ScoreConfig()):
             details=lambda: tables.breakdowns(plan, cfg),
         )
     return {metric: out[metric] for metric in metrics}
+
+
+def classical_scores(sub, metrics):
+    """Score one team's correctness rows on an evaluation subset (members x
+    samples) with each requested classical metric: score_teams on the team
+    of every row, on all samples. Returns {metric: DiversityScore} in the
+    order of metrics; SQ is refused."""
+    metrics = normalize_metrics(metrics)
+    if "SQ" in metrics:
+        raise ValueError(f"not a classical metric: 'SQ' (choose from {', '.join(CLASSICAL)})")
+    cm = CorrectnessMatrix(sub)
+    team = make_team(range(cm.n_models), cm.n_models)
+    columns = score_teams(None, cm, [team], metrics, ScoreConfig(use_full_set=True))
+    return {metric: column[team.team_key] for metric, column in columns.items()}

@@ -58,11 +58,13 @@ class SelectionReport:
 def rank_teams(scores, metric, k):
     """Rank the teams of a ScoreColumn and return the top k entries.
 
-    scores is one metric's ScoreColumn from score_teams; only its
-    team_keys, team_sizes and array are read. k larger than the column
-    returns every team.
+    scores is one metric's ScoreColumn from score_teams; only its metric,
+    team_keys, team_sizes and array are read. metric must name the
+    column's own metric. k larger than the column returns every team.
     """
     metric = normalize_metric(metric)
+    if metric != scores.metric:
+        raise ValueError(f"metric {metric} is not the column's metric {scores.metric}")
     if k < 1:
         raise ValueError("k must be >= 1")
     keys, values = scores.team_keys, scores.array

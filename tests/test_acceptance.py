@@ -20,8 +20,8 @@ import _reference as ref
 from _pools import pool_from_labels, pool_from_probs, random_pool, score_column
 from sqdiv.analytics import pearson
 from sqdiv.pool import correctness, load_pool, model_accuracy, write_pool
-from sqdiv.qmetrics import FOCAL_ERRS, classical_scores, negative_samples
-from sqdiv.scoring import ScoreConfig, score_team, score_teams
+from sqdiv.qmetrics import FOCAL_ERRS, negative_samples
+from sqdiv.scoring import ScoreConfig, classical_scores, score_team, score_teams
 from sqdiv.selection import rank_teams
 from sqdiv.synth import default_spec, generate
 from sqdiv.teams import (

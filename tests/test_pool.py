@@ -28,6 +28,7 @@ from sqdiv.pool import (
 
 import _reference as ref
 from _pools import pool_from_probs, random_pool
+from sqdiv.cli import main
 
 
 def test_minimal_pool_loads(tiny_pool):
@@ -599,6 +600,41 @@ def test_round_trip_fingerprint(tmp_path):
     assert again.sample_ids == pool.sample_ids
     assert np.array_equal(again.truth, pool.truth)
     assert np.array_equal(again.probs, pool.probs)
+
+
+def _with_ids(manifest, ids):
+    """Rewrite the manifest's declared model ids in place."""
+    record = json.loads(manifest.read_text())
+    for entry, model_id in zip(record["models"], ids):
+        entry["id"] = model_id
+    manifest.write_text(json.dumps(record))
+    return manifest
+
+
+@pytest.mark.parametrize("ids", [[True, 1, "x", 2.5], [0.0, 0, 2, 3]], ids=str)
+def test_declared_ids_compare_as_json_values(tmp_path, capsys, ids):
+    """Ids are positional; declared ones only must not repeat as JSON values,
+    so true and 1, or 0.0 and 0, are two ids. Such a pool loads and evaluates
+    as one declaring 0..3."""
+    pool = random_pool(4, n_models=4, n_samples=30, n_classes=3)
+    runs = {}
+    for label, declared in (("plain", [0, 1, 2, 3]), ("other", ids)):
+        manifest = _with_ids(write_pool(pool, tmp_path / label), declared)
+        assert np.array_equal(load_pool(manifest).probs, pool.probs)
+        out = tmp_path / f"{label}-out"
+        assert main(["evaluate", "--pool", str(manifest), "--out", str(out)]) == 0
+        runs[label] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    capsys.readouterr()
+    assert runs["other"] == runs["plain"]
+
+
+@pytest.mark.parametrize("ids", [[1, 1, 2, 3], ["a", "a", 2, 3]], ids=str)
+def test_repeated_declared_ids_are_refused(tmp_path, ids):
+    manifest = write_pool(random_pool(4, n_models=4, n_samples=30, n_classes=3), tmp_path)
+    _with_ids(manifest, ids)
+    message = f"duplicate model ids in manifest: {manifest}"
+    with pytest.raises(PoolFormatError, match=f"^{re.escape(message)}$"):
+        load_pool(manifest)
 
 
 def test_correctness_is_pure(tiny_pool):

@@ -10,10 +10,10 @@ from sqdiv.qmetrics import (
     ANY_MEMBER_ERRS,
     FOCAL_ERRS,
     UndefinedDiversityError,
-    classical_scores,
     gram,
     negative_samples,
 )
+from sqdiv.scoring import classical_scores
 
 # Each classical metric with the name its parametrized tests are reported by.
 METRIC_NAMES = {
@@ -88,6 +88,15 @@ def test_negative_samples_validation():
         negative_samples(cm, (0, 1), mode="sideways")
     with pytest.raises(ValueError, match="cap"):
         negative_samples(cm, (0, 1), cap=0)
+
+
+@pytest.mark.parametrize("focal", [0, 1.9, True])
+def test_any_member_mode_refuses_a_focal_id(focal):
+    """Only focal-errs mode has a focal; any-member-errs refuses one rather
+    than ignore it."""
+    cm = make_cm([(1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="any-member-errs mode takes no focal_id"):
+        negative_samples(cm, (0, 1), focal_id=focal)
 
 
 # --- contingency -------------------------------------------------------------
@@ -227,8 +236,11 @@ def test_classical_scores_matches_names_without_case():
 
 @pytest.mark.parametrize("names, bad", [(["SQ"], "SQ"), (["CK", "XX"], "XX"), (["SQ", "XX"], "SQ")])
 def test_classical_scores_rejects_other_metric_names(names, bad):
+    """SQ is not a classical metric; a name that is no metric at all is
+    refused first, by the list rule every scorer shares."""
     sub = np.array([(1, 0, 1), (0, 0, 1)], dtype=bool)
-    with pytest.raises(ValueError, match=f"not a classical metric: '{bad}'"):
+    message = "unknown metric: 'XX'" if "XX" in names else f"not a classical metric: '{bad}'"
+    with pytest.raises(ValueError, match=message):
         classical_scores(sub, names)
 
 # --- properties --------------------------------------------------------------

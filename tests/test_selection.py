@@ -35,6 +35,16 @@ def test_rank_qs_lower_is_diverse():
     assert ranked[0].direction == "lower-is-diverse"
 
 
+def test_rank_refuses_a_metric_that_is_not_the_columns():
+    """A CK column is not ranked as QS: lowest first, and labelled QS."""
+    column = score_column({"01": 0.1, "012": 0.2, "013": 0.05, "0123": 0.15}, "CK")
+    with pytest.raises(ValueError, match="^metric QS is not the column's metric CK$"):
+        rank_teams(column, "QS", 3)
+    ranked = rank_teams(column, " ck", 3)
+    assert [(e.team.team_key, e.metric) for e in ranked] == [("012", "CK"), ("0123", "CK"),
+                                                              ("01", "CK")]
+
+
 def test_rank_lexicographic_residual_tie():
     ranked = rank_teams(score_column({"13": 0.5, "12": 0.5}, "SQ"), "SQ", k=2)
     assert [e.team.team_key for e in ranked] == ["12", "13"]

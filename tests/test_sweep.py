@@ -12,6 +12,7 @@ every accuracy must equal consensus on the team and the reference votes
 exactly, near-ties and vote-count ties included.
 """
 
+import json
 import re
 import warnings
 from itertools import combinations
@@ -23,15 +24,17 @@ from hypothesis import strategies as st
 
 import _reference as ref
 from _pools import pool_from_labels, pool_from_probs, random_pool
-from sqdiv.pool import correctness
+from sqdiv import analytics
+from sqdiv.analytics import correlation_report, sweep
+from sqdiv.cli import main
+from sqdiv.pool import correctness, write_pool
 from sqdiv.qmetrics import (
     FOCAL_ERRS,
     UndefinedDiversityError,
-    classical_scores,
     kappa,
     negative_samples,
 )
-from sqdiv.scoring import ScoreConfig, score_team, score_teams
+from sqdiv.scoring import ScoreConfig, classical_scores, score_team, score_teams
 from sqdiv import teams as teams_module
 from sqdiv.synth import default_spec, generate
 from sqdiv.teams import (
@@ -337,6 +340,58 @@ def test_score_teams_rejects_repeated_metrics():
     pool = generate(default_spec(n_models=4, n_samples=50, n_classes=3, seed=1))
     with pytest.raises(ValueError, match="^duplicate metrics requested$"):
         score_teams(pool, correctness(pool), enumerate_teams(4), ["sq", "CK", "SQ"])
+
+
+_SCORERS = ("score_teams", "classical_scores", "sweep", "correlation_report", "evaluate")
+# Metric lists that scoring.normalize_metrics refuses for every scorer, and
+# SQ, which classical_scores alone refuses: (names, message, refusing
+# callers). evaluate takes the names as one comma list, the empty one as ",".
+_BAD_METRIC_LISTS = {
+    "unknown": (["ck", "wat"], "unknown metric: 'wat'", _SCORERS),
+    "repeated": (["ck", "bd", "ck"], "duplicate metrics requested", _SCORERS),
+    "repeated-case": (["sq", "SQ"], "duplicate metrics requested", _SCORERS),
+    "empty": ([], "no metrics requested", _SCORERS),
+    "sq-not-classical": (["ck", "sq"], "not a classical metric: 'SQ'", ("classical_scores",)),
+}
+
+
+@pytest.mark.parametrize("names, message, refusing", _BAD_METRIC_LISTS.values(),
+                         ids=_BAD_METRIC_LISTS)
+def test_every_scorer_refuses_a_bad_metric_list_alike(tmp_path, capsys, monkeypatch,
+                                                     names, message, refusing):
+    """score_teams, classical_scores, sweep and correlation_report raise the
+    same ValueError, the last two before any consensus is taken. evaluate
+    --metrics, typed or from --config, exits 2 with one stderr line naming
+    the flag and creates no --out."""
+    pool = generate(default_spec(n_models=4, n_samples=50, n_classes=3, seed=1))
+    cm = correctness(pool)
+
+    def no_consensus(*args, **kwargs):
+        raise AssertionError("team_accuracy_table ran")
+
+    monkeypatch.setattr(analytics, "team_accuracy_table", no_consensus)
+    calls = {
+        "score_teams": lambda: score_teams(pool, cm, enumerate_teams(4), names),
+        "classical_scores": lambda: classical_scores(cm.bits, names),
+        "sweep": lambda: sweep(pool, cm, names),
+        "correlation_report": lambda: correlation_report(pool, cm, names),
+    }
+    for caller, call in calls.items():
+        if caller in refusing:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                call()
+    if "evaluate" not in refusing:
+        return
+    manifest = write_pool(pool, tmp_path / "pool")
+    listed = ",".join(names) or ","
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"metrics": listed}))
+    out = tmp_path / "out"
+    for flags in (["--metrics", listed], ["--config", str(config)]):
+        assert main(["evaluate", "--pool", str(manifest), *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: --metrics: {message}") and err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_sq_weights_that_overflow_a_score_are_rejected():
