@@ -41,7 +41,7 @@ def run_seed(seed, args):
     row = {"seed": seed}
     for metric in METRICS:
         row[f"r_{metric.lower()}"] = correlations[metric]
-        top = rank_teams(result.scores[metric], metric, 1)[0]
+        top = rank_teams(result.scores[metric], 1)[0]
         row[f"top1_{metric.lower()}"] = top.team.team_key
         row[f"top1_{metric.lower()}_acc"] = accuracy[top.team.team_key]
     row["best_single_acc"] = max(model_accuracy(cm, i) for i in range(pool.n_models))

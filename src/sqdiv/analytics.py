@@ -131,7 +131,7 @@ def case_study(pool, team, sample_id, consensus_method=SOFT):
         pred_idx = int(labels[m, j])
         members.append({
             "model_id": m,
-            "name": pool.models[m].name,
+            "name": pool.models[m],
             "probabilities": [float(v) for v in pool.probs[m, j]],
             "predicted": pool.classes[pred_idx],
             "correct": pred_idx == truth_idx,

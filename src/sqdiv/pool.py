@@ -9,6 +9,8 @@ predictions CSV per model:
     labels file    sample_id,true_label            (one row per sample)
     model file     sample_id,p_<class0>,...,p_<classC-1>
 
+A model's id is its position in "models" and its name, a string, defaults
+to model-<position>; a declared "id" is only checked not to repeat.
 Samples are joined across files by sample_id, never by row position; the
 labels file fixes the canonical sample order. Relative paths in the manifest
 resolve against the manifest's directory. Every pool file, the manifest
@@ -93,33 +95,22 @@ class PoolFormatError(ValueError):
     """A manifest, predictions file, or labels file is missing or invalid."""
 
 
-@dataclass(frozen=True)
-class ModelRecord:
-    """One base model in the pool.
-
-    model_id is positional: the loader assigns 0..M-1 in manifest order, so
-    reordering the manifest permutes ids while names keep their predictions.
-    """
-
-    model_id: int
-    name: str
-    predictions_path: str
-
-
 @dataclass(eq=False)
 class PredictionPool:
     """Immutable M x N x C probability tensor plus labels and metadata.
 
     Parameters
     ----------
-    models : tuple of ModelRecord, ids 0..M-1 in order
+    models : tuple of model names, length M >= 2, in manifest order; a
+        model's id is its position, so reordering the manifest permutes ids
+        while names keep their predictions
     classes : tuple of class names, length C >= 2
     sample_ids : tuple of sample identifiers, length N >= 1
     truth : int array (N,), class index per sample
     probs : float array (M, N, C); each row sums to 1 within ROW_SUM_TOL
     """
 
-    models: tuple[ModelRecord, ...]
+    models: tuple[str, ...]
     classes: tuple[str, ...]
     sample_ids: tuple[str, ...]
     truth: np.ndarray
@@ -128,7 +119,7 @@ class PredictionPool:
     _labels: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.models = tuple(self.models)
+        self.models = tuple(str(name) for name in self.models)
         self.classes = tuple(str(c) for c in self.classes)
         self.sample_ids = tuple(str(s) for s in self.sample_ids)
         self.truth = np.asarray(self.truth, dtype=np.int64)
@@ -152,9 +143,6 @@ class PredictionPool:
             raise PoolFormatError("duplicate class names")
         if len(set(self.sample_ids)) != n:
             raise PoolFormatError("duplicate sample ids")
-        ids = [rec.model_id for rec in self.models]
-        if ids != list(range(m)):
-            raise PoolFormatError("model ids must be 0..M-1 in order")
         if self.truth.min() < 0 or self.truth.max() >= c:
             raise PoolFormatError("truth entry is not a valid class index")
         # load_pool has checked each model file's rows already, but a tensor
@@ -164,7 +152,7 @@ class PredictionPool:
             row, problem = bad
             model, sample = divmod(row, n)
             raise PoolFormatError(
-                f"{problem} for model {self.models[model].name!r}, "
+                f"{problem} for model {self.models[model]!r}, "
                 f"sample {self.sample_ids[sample]!r}"
             )
 
@@ -211,7 +199,7 @@ class PredictionPool:
                 "classes": list(self.classes),
                 "samples": list(self.sample_ids),
                 "truth": self.truth.tolist(),
-                "models": [rec.name for rec in self.models],
+                "models": list(self.models),
             }
             digest = hashlib.sha256()
             digest.update(json.dumps(meta, sort_keys=True).encode("utf-8"))
@@ -228,6 +216,10 @@ class CorrectnessMatrix:
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=bool)
+        if self.bits.ndim != 2:
+            raise ValueError(
+                f"correctness bits must be 2-d (models, samples), not of shape {self.bits.shape}"
+            )
         self.bits.setflags(write=False)
 
     @property
@@ -457,8 +449,9 @@ def _read_predictions(path, classes, model):
 
 
 def _read_manifest(path):
-    """The manifest's (classes, labels path, ModelRecords), shape-checked,
-    and the sha256 of the bytes they were read from."""
+    """The manifest's (classes, labels file path, model names, model file
+    paths), shape-checked and with paths resolved against the manifest's
+    directory, and the sha256 of the bytes they were read from."""
     text, digest = _read_text(path, "manifest")
     # Line ends are translated as Path.read_text translates them, so a
     # JSON error names the same line, column and character.
@@ -484,25 +477,29 @@ def _read_manifest(path):
         raise PoolFormatError(f"manifest key 'labels_path' must be a string: {path}")
     if not isinstance(entries, list) or len(entries) < 2:
         raise PoolFormatError(f"manifest must reference at least 2 model files: {path}")
-    models = []
+    names, paths = [], []
     for position, entry in enumerate(entries):
         where = f"manifest key 'models' entry {position}"
         if not isinstance(entry, dict):
             raise PoolFormatError(f"{where} must be an object: {path}")
         if isinstance(entry.get("id"), (list, dict)):
             raise PoolFormatError(f"{where}: 'id' must be a number or a string: {path}")
+        name = entry.get("name", f"model-{position}")
+        if not isinstance(name, str):
+            raise PoolFormatError(f"{where}: 'name' must be a string: {path}")
         rel = entry.get("predictions_path")
         if not isinstance(rel, str) or not rel:
             raise PoolFormatError(
                 f"{where}: 'predictions_path' must be a non-empty string: {path}"
             )
-        models.append(ModelRecord(position, str(entry.get("name", f"model-{position}")), rel))
+        names.append(name)
+        paths.append(path.parent / rel)
     # Model ids are positional; only declared ids must not repeat, compared
     # as the JSON values they are written as (true is not 1, 0.0 is not 0).
     declared = [json.dumps(e["id"]) for e in entries if e.get("id") is not None]
     if len(set(declared)) != len(declared):
         raise PoolFormatError(f"duplicate model ids in manifest: {path}")
-    return classes, labels_path, models, digest
+    return classes, path.parent / labels_path, names, paths, digest
 
 
 # Pools of fewer probabilities (M * N * C) than this are read and written
@@ -679,21 +676,19 @@ def load_pool(manifest_path):
     every input file (see the module docstring).
     """
     manifest_path = Path(manifest_path)
-    classes, labels_path, models, manifest_digest = _read_manifest(manifest_path)
-    base = manifest_path.parent
-    paths = [base / rec.predictions_path for rec in models]
-    sample_ids, truth, labels_digest = _read_labels(base / labels_path, classes)
+    classes, labels_path, names, paths, manifest_digest = _read_manifest(manifest_path)
+    sample_ids, truth, labels_digest = _read_labels(labels_path, classes)
     # Each digest is of the bytes parsed (or, on a hit, of the bytes the
     # entry was stored for), so an entry always holds what its key's bytes
     # parse to, whatever changes while this runs.
     digests = [manifest_digest, labels_digest]
-    shape = (len(models), len(sample_ids), len(classes))
+    shape = (len(names), len(sample_ids), len(classes))
     probs = _cached_probs(manifest_path, digests, paths, shape)
     parsed = probs is None
     if parsed:
-        probs, model_digests = _read_models(paths, models, classes, sample_ids)
+        probs, model_digests = _read_models(paths, names, classes, sample_ids)
     pool = PredictionPool(
-        models=tuple(models),
+        models=tuple(names),
         classes=tuple(classes),
         sample_ids=tuple(sample_ids),
         truth=truth,
@@ -705,10 +700,10 @@ def load_pool(manifest_path):
     return pool
 
 
-def _read_models(paths, models, classes, sample_ids):
-    """The (M, N, C) tensor of the model files at `paths`, of the
-    ModelRecords `models`, their rows placed in the order of `sample_ids`,
-    and the (M, 32) sha256 of each file's bytes."""
+def _read_models(paths, names, classes, sample_ids):
+    """The (M, N, C) tensor of the model files at `paths`, of the models
+    `names`, their rows placed in the order of `sample_ids`, and the
+    (M, 32) sha256 of each file's bytes."""
     index = dict(zip(sample_ids, range(len(sample_ids))))
     probs = _shared((len(paths), len(index), len(classes)), np.float64)
     digests = _shared((len(paths), 32), np.uint8)
@@ -716,7 +711,7 @@ def _read_models(paths, models, classes, sample_ids):
     def read(position):
         """Place model file `position`'s block in its slab of `probs`, in
         the labels file's order, and the sha256 of its bytes in `digests`."""
-        name, path = models[position].name, paths[position]
+        name, path = names[position], paths[position]
         ids, block, digest = _read_predictions(path, classes, name)
         if ids == sample_ids:
             probs[position] = block
@@ -766,9 +761,8 @@ def write_pool(pool, out_dir):
 
     header = ",".join(["sample_id"] + [_csv_field(f"p_{c}") for c in pool.classes])
     entries = [
-        {"id": rec.model_id, "name": rec.name,
-         "predictions_path": f"model_{rec.model_id:02d}.csv"}
-        for rec in pool.models
+        {"id": i, "name": name, "predictions_path": f"model_{i:02d}.csv"}
+        for i, name in enumerate(pool.models)
     ]
     digests = _shared((len(entries), 32), np.uint8)
 

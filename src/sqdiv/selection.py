@@ -55,16 +55,15 @@ class SelectionReport:
     rows: tuple[SelectionRow, ...]
 
 
-def rank_teams(scores, metric, k):
-    """Rank the teams of a ScoreColumn and return the top k entries.
+def rank_teams(scores, k):
+    """Rank the teams of a ScoreColumn in its metric's direction and return
+    the top k entries.
 
     scores is one metric's ScoreColumn from score_teams; only its metric,
-    team_keys, team_sizes and array are read. metric must name the
-    column's own metric. k larger than the column returns every team.
+    team_keys, team_sizes and array are read. k larger than the column
+    returns every team.
     """
-    metric = normalize_metric(metric)
-    if metric != scores.metric:
-        raise ValueError(f"metric {metric} is not the column's metric {scores.metric}")
+    metric = scores.metric
     if k < 1:
         raise ValueError("k must be >= 1")
     keys, values = scores.team_keys, scores.array
@@ -96,7 +95,7 @@ def select_and_evaluate(
     teams = enumerate_teams(pool.n_models, min_size, max_size)
     scored = score_teams(pool, cm, teams, [metric], cfg)[metric]
     rows = []
-    for entry in rank_teams(scored, metric, k):
+    for entry in rank_teams(scored, k):
         acc = consensus(pool, entry.team, consensus_method).accuracy
         best = max(model_accuracy(cm, m) for m in entry.team.member_ids)
         rows.append(

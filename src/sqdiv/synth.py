@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pool import ModelRecord, PredictionPool
+from .pool import PredictionPool
 from .teams import make_team
 
 
@@ -138,12 +138,8 @@ def generate(spec):
     probs[:] = ((1.0 - confidence) / (c - 1))[:, :, None]
     np.put_along_axis(probs, labels[:, :, None], confidence[:, :, None], axis=2)
 
-    models = tuple(
-        ModelRecord(model_id=i, name=f"synth-{i:02d}", predictions_path="")
-        for i in range(m)
-    )
     return PredictionPool(
-        models=models,
+        models=tuple(f"synth-{i:02d}" for i in range(m)),
         classes=tuple(f"c{k:02d}" for k in range(c)),
         sample_ids=tuple(f"s{j:05d}" for j in range(n)),
         truth=truth,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from sqdiv.pool import CorrectnessMatrix, ModelRecord, PredictionPool
+from sqdiv.pool import CorrectnessMatrix, PredictionPool
 from sqdiv.scoring import ScoreColumn
 from sqdiv.teams import parse_team_key
 
@@ -14,15 +14,11 @@ def make_cm(rows):
     return CorrectnessMatrix(bits=np.asarray(rows, dtype=bool))
 
 
-def _records(m):
-    return tuple(ModelRecord(model_id=i, name=f"m{i}", predictions_path="") for i in range(m))
-
-
 def pool_from_probs(probs, truth, classes=None, sample_ids=None):
     probs = np.asarray(probs, dtype=np.float64)
     m, n, c = probs.shape
     return PredictionPool(
-        models=_records(m),
+        models=tuple(f"m{i}" for i in range(m)),
         classes=tuple(classes) if classes else tuple(f"c{k}" for k in range(c)),
         sample_ids=tuple(sample_ids) if sample_ids else tuple(f"s{j}" for j in range(n)),
         truth=np.asarray(truth, dtype=np.int64),

@@ -191,14 +191,14 @@ def write_pool_csv(pool, out_dir):
 
     header = ["sample_id"] + [f"p_{c}" for c in pool.classes]
     entries = []
-    for rec in pool.models:
-        fname = f"model_{rec.model_id:02d}.csv"
+    for i, name in enumerate(pool.models):
+        fname = f"model_{i:02d}.csv"
         with (out_dir / fname).open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for j, sid in enumerate(pool.sample_ids):
-                writer.writerow([sid] + [repr(float(v)) for v in pool.probs[rec.model_id, j]])
-        entries.append({"id": rec.model_id, "name": rec.name, "predictions_path": fname})
+                writer.writerow([sid] + [repr(float(v)) for v in pool.probs[i, j]])
+        entries.append({"id": i, "name": name, "predictions_path": fname})
 
     manifest = {"classes": list(pool.classes), "labels_path": "labels.csv", "models": entries}
     (out_dir / "manifest.json").write_text(

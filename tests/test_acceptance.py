@@ -78,7 +78,7 @@ def planted_experiment():
         }
         top1 = {}
         for metric in ("CK", "SQ"):
-            entry = rank_teams(scores[metric], metric, 1)[0]
+            entry = rank_teams(scores[metric], 1)[0]
             top1[metric] = accuracy[entry.team.team_key]
         best = max(model_accuracy(cm, i) for i in range(10))
         outcomes.append(SeedOutcome(correlations, top1, best))
@@ -222,7 +222,7 @@ def test_selection_quality(planted_experiment):
 def test_tie_breaking_smaller_team_first():
     name = "tie-breaking: smaller team outranks larger at equal score"
     with criterion(name):
-        ranked = rank_teams(score_column({"068": 0.8, "0678": 0.8}, "CK"), "CK", k=2)
+        ranked = rank_teams(score_column({"068": 0.8, "0678": 0.8}, "CK"), k=2)
         assert ranked[0].team.team_key == "068"
         assert ranked[0].rank == 1
         assert ranked[1].team.team_key == "0678"

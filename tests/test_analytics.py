@@ -203,7 +203,7 @@ def test_case_study_is_pure_projection():
     for member in record["members"]:
         i = member["model_id"]
         assert member["probabilities"] == [float(v) for v in pool.probs[i, j]]
-        assert member["name"] == pool.models[i].name
+        assert member["name"] == pool.models[i]
     assert record["truth"] == pool.classes[int(pool.truth[j])]
     assert record["team"] == "02"
 

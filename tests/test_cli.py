@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import math
+import random
 import subprocess
 import sys
 import warnings
@@ -748,6 +750,69 @@ def test_equal_declared_model_ids_still_fail(sim_pool, tmp_path, capsys):
     code, _, err = run(["select", "--pool", str(sim_pool), "--out", str(out)], capsys)
     assert (code, err) == (1, f"error: duplicate model ids in manifest: {sim_pool}\n")
     assert not out.exists()
+
+
+# Tokens the pool-file fuzz inserts: CSV syntax, numbers a probability cell
+# must not hold, a NUL, a bare carriage return and a letter.
+_FUZZ_TOKENS = (b",", b'"', b"nan", b"-1", b"1e999", b"\x00", b"\r", b"x")
+
+
+def _mutate(data, rng):
+    """`data` with one seeded mutation: a token inserted, a span deleted, a
+    line duplicated or one bit of a byte flipped."""
+    kind, at = rng.randrange(4), rng.randrange(len(data))
+    if kind == 0:
+        return data[:at] + rng.choice(_FUZZ_TOKENS) + data[at:]
+    if kind == 1:
+        return data[:at] + data[at + rng.randint(1, 12):]
+    if kind == 2:
+        lines = data.splitlines(keepends=True)
+        i = rng.randrange(len(lines))
+        return b"".join(lines[:i + 1] + lines[i:])
+    flipped = bytearray(data)
+    flipped[at] ^= 1 << rng.randrange(8)
+    return bytes(flipped)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_a_mutated_model_file_evaluates_or_fails_naming_it(tmp_path, capsys):
+    """Seeded fuzz of the model files of an M=3, N=20, C=3 pool: evaluate on
+    a fresh copy, with no cache, holding one mutated model file either exits
+    0 with finite scores and strict-JSON correlations, or exits 1 with one
+    `error: ` line naming that file and no --out. Nothing raises."""
+    source = write_pool(random_pool(27, n_models=3, n_samples=20, n_classes=3),
+                        tmp_path / "pool").parent
+    files = {p.name: p.read_bytes() for p in source.iterdir() if p.is_file()}
+    rng = random.Random(27)
+    codes = []
+    for i in range(300):
+        copy = tmp_path / f"copy{i}"
+        copy.mkdir()
+        for name, data in files.items():
+            (copy / name).write_bytes(data)
+        target = copy / f"model_{rng.randrange(3):02d}.csv"
+        target.write_bytes(_mutate(files[target.name], rng))
+        out = copy / "out"
+        code, _, err = run(["evaluate", "--pool", str(copy / "manifest.json"),
+                            "--out", str(out)], capsys)
+        codes.append(code)
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert str(target) in err, err
+            assert not out.exists()
+            continue
+        assert code == 0, err
+        json.loads((out / "correlations.json").read_text(), parse_constant=_refuse_constant)
+        for scatter in out.glob("scatter_*.csv"):
+            rows = list(csv.DictReader(io.StringIO(scatter.read_text())))
+            assert len(rows) == 4
+            assert all(math.isfinite(float(row[k])) for row in rows
+                       for k in ("score", "accuracy"))
+    # Both outcomes are common, so each branch above was checked.
+    assert min(codes.count(0), codes.count(1)) > 20, (codes.count(0), codes.count(1))
 
 
 def test_config_ignores_other_subcommands_flags(sim_pool, tmp_path, capsys):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import sqdiv.pool as sqpool
 from sqdiv.pool import (
-    ModelRecord,
+    CorrectnessMatrix,
     PoolFormatError,
     PredictionPool,
     _plain_lines,
@@ -29,6 +29,7 @@ from sqdiv.pool import (
 import _reference as ref
 from _pools import pool_from_probs, random_pool
 from sqdiv.cli import main
+from sqdiv.scoring import classical_scores
 
 
 def test_minimal_pool_loads(tiny_pool):
@@ -38,8 +39,7 @@ def test_minimal_pool_loads(tiny_pool):
     assert tiny_pool.classes == ("cat", "dog")
     assert tiny_pool.sample_ids == ("s1", "s2", "s3")
     assert tiny_pool.truth.tolist() == [0, 1, 0]
-    assert tiny_pool.models[0].model_id == 0
-    assert tiny_pool.models[1].name == "model-1"
+    assert tiny_pool.models == ("model-0", "model-1")
 
 
 def test_sample_order_follows_labels_file(write_manifest):
@@ -149,7 +149,7 @@ def test_manifest_faults_name_the_manifest(write_manifest, edit, message):
 def _pool_args(**changes):
     """PredictionPool's arguments for a valid 2 x 2 x 2 pool, with `changes`."""
     args = dict(
-        models=tuple(ModelRecord(i, f"m{i}", "") for i in range(2)),
+        models=("m0", "m1"),
         classes=("a", "b"),
         sample_ids=("x", "y"),
         truth=[0, 1],
@@ -159,7 +159,7 @@ def _pool_args(**changes):
 
 
 @pytest.mark.parametrize("changes, message", [
-    ({"models": (ModelRecord(0, "m0", ""),)}, "a pool needs at least 2 models"),
+    ({"models": ("m0",)}, "a pool needs at least 2 models"),
     ({"classes": ("a",)}, "a pool needs at least 2 classes"),
     ({"sample_ids": (), "truth": []}, "a pool needs at least 1 sample"),
     ({"probs": np.full((2, 2, 3), 1 / 3)},
@@ -167,12 +167,10 @@ def _pool_args(**changes):
     ({"truth": [0]}, "truth length does not match sample count"),
     ({"classes": ("a", "a")}, "duplicate class names"),
     ({"sample_ids": ("x", "x")}, "duplicate sample ids"),
-    ({"models": (ModelRecord(1, "m1", ""), ModelRecord(0, "m0", ""))},
-     "model ids must be 0..M-1 in order"),
     ({"truth": [0, 2]}, "truth entry is not a valid class index"),
     ({"truth": [-1, 0]}, "truth entry is not a valid class index"),
 ], ids=["one-model", "one-class", "no-sample", "shape", "truth-length", "repeated-class",
-        "repeated-sample", "model-order", "truth-too-high", "truth-negative"])
+        "repeated-sample", "truth-too-high", "truth-negative"])
 def test_constructor_rejects_inconsistent_pools(changes, message):
     PredictionPool(**_pool_args())
     with pytest.raises(PoolFormatError) as info:
@@ -637,6 +635,34 @@ def test_repeated_declared_ids_are_refused(tmp_path, ids):
         load_pool(manifest)
 
 
+@pytest.mark.parametrize("name", [None, ["x"], {"a": 1}, True, 5], ids=str)
+def test_a_model_name_that_is_not_a_string_is_refused(tmp_path, capsys, name):
+    """A name is a JSON string: null, a list, an object, a bool or a number
+    is refused as a non-string 'id' is, not loaded as its Python repr."""
+    manifest = write_pool(random_pool(4, n_models=4, n_samples=30, n_classes=3),
+                          tmp_path / "pool")
+    data = json.loads(manifest.read_text())
+    data["models"][1]["name"] = name
+    manifest.write_text(json.dumps(data))
+    message = f"manifest key 'models' entry 1: 'name' must be a string: {manifest}"
+    with pytest.raises(PoolFormatError, match=f"^{re.escape(message)}$"):
+        load_pool(manifest)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--pool", str(manifest), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3, 4)], ids=str)
+def test_correctness_bits_must_be_two_dimensional(shape):
+    bits = np.ones(shape, dtype=bool)
+    message = f"correctness bits must be 2-d (models, samples), not of shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CorrectnessMatrix(bits)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        classical_scores(bits, ["BD"])
+
+
 def test_correctness_is_pure(tiny_pool):
     first = correctness(tiny_pool)
     second = correctness(tiny_pool)
@@ -654,15 +680,15 @@ def test_shuffled_manifest_keeps_accuracy_with_name(write_manifest, tmp_path):
     )
     pool = load_pool(manifest)
     cm = correctness(pool)
-    by_name = {rec.name: model_accuracy(cm, rec.model_id) for rec in pool.models}
+    by_name = {name: model_accuracy(cm, i) for i, name in enumerate(pool.models)}
 
     data = json.loads(manifest.read_text())
     data["models"] = list(reversed(data["models"]))
     manifest.write_text(json.dumps(data))
     shuffled = load_pool(manifest)
     cm2 = correctness(shuffled)
-    assert shuffled.models[0].name == "beta"
-    assert {rec.name: model_accuracy(cm2, rec.model_id) for rec in shuffled.models} == by_name
+    assert shuffled.models == ("beta", "alpha")
+    assert {name: model_accuracy(cm2, i) for i, name in enumerate(shuffled.models)} == by_name
 
 
 def test_pool_is_immutable(tiny_pool):

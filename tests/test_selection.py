@@ -18,52 +18,55 @@ from sqdiv.teams import enumerate_teams, make_team, parse_team_key
 
 
 def test_rank_smaller_team_wins_ties():
-    ranked = rank_teams(score_column({"068": 0.8, "0678": 0.8}, "CK"), "CK", k=2)
+    ranked = rank_teams(score_column({"068": 0.8, "0678": 0.8}, "CK"), k=2)
     assert [e.team.team_key for e in ranked] == ["068", "0678"]
     assert [e.rank for e in ranked] == [1, 2]
 
 
 def test_rank_higher_is_diverse_default():
-    ranked = rank_teams(score_column({"12": 0.3, "13": 0.9}, "BD"), "BD", k=1)
+    ranked = rank_teams(score_column({"12": 0.3, "13": 0.9}, "BD"), k=1)
     assert ranked[0].team.team_key == "13"
     assert ranked[0].direction == "higher-is-diverse"
 
 
 def test_rank_qs_lower_is_diverse():
-    ranked = rank_teams(score_column({"12": 0.3, "13": 0.9}, "QS"), "QS", k=2)
+    ranked = rank_teams(score_column({"12": 0.3, "13": 0.9}, "QS"), k=2)
     assert [e.team.team_key for e in ranked] == ["12", "13"]
     assert ranked[0].direction == "lower-is-diverse"
 
 
-def test_rank_refuses_a_metric_that_is_not_the_columns():
-    """A CK column is not ranked as QS: lowest first, and labelled QS."""
-    column = score_column({"01": 0.1, "012": 0.2, "013": 0.05, "0123": 0.15}, "CK")
-    with pytest.raises(ValueError, match="^metric QS is not the column's metric CK$"):
-        rank_teams(column, "QS", 3)
-    ranked = rank_teams(column, " ck", 3)
-    assert [(e.team.team_key, e.metric) for e in ranked] == [("012", "CK"), ("0123", "CK"),
-                                                              ("01", "CK")]
+def test_rank_reads_the_columns_metric():
+    """A column ranks in its own metric's direction and under its name: the
+    same scores rank highest first as CK and lowest first as QS."""
+    scores = {"01": 0.1, "012": 0.2, "013": 0.05, "0123": 0.15}
+    ranked = rank_teams(score_column(scores, "CK"), 3)
+    assert [(e.team.team_key, e.metric, e.direction) for e in ranked] == [
+        ("012", "CK", "higher-is-diverse"), ("0123", "CK", "higher-is-diverse"),
+        ("01", "CK", "higher-is-diverse")]
+    ranked = rank_teams(score_column(scores, "QS"), 3)
+    assert [(e.team.team_key, e.metric) for e in ranked] == [("013", "QS"), ("01", "QS"),
+                                                              ("0123", "QS")]
 
 
 def test_rank_lexicographic_residual_tie():
-    ranked = rank_teams(score_column({"13": 0.5, "12": 0.5}, "SQ"), "SQ", k=2)
+    ranked = rank_teams(score_column({"13": 0.5, "12": 0.5}, "SQ"), k=2)
     assert [e.team.team_key for e in ranked] == ["12", "13"]
 
 
 def test_rank_k_larger_than_map_returns_all():
-    ranked = rank_teams(score_column({"12": 0.1, "13": 0.2, "23": 0.3}, "GD"), "GD", k=10)
+    ranked = rank_teams(score_column({"12": 0.1, "13": 0.2, "23": 0.3}, "GD"), k=10)
     assert len(ranked) == 3
     assert [e.rank for e in ranked] == [1, 2, 3]
 
 
 def test_rank_is_deterministic_and_stable_under_insertion():
     scores = {"12": 0.4, "13": 0.9, "014": 0.9, "23": 0.1}
-    first = rank_teams(score_column(scores, "KW"), "KW", k=10)
-    again = rank_teams(score_column(scores, "KW"), "KW", k=10)
+    first = rank_teams(score_column(scores, "KW"), k=10)
+    again = rank_teams(score_column(scores, "KW"), k=10)
     assert first == again
     order = [e.team.team_key for e in first]
     scores["0123"] = 0.65
-    wider = [e.team.team_key for e in rank_teams(score_column(scores, "KW"), "KW", k=10)]
+    wider = [e.team.team_key for e in rank_teams(score_column(scores, "KW"), k=10)]
     assert [k for k in wider if k != "0123"] == order
 
 
@@ -71,19 +74,17 @@ def test_rank_topk_stability():
     rng = np.random.default_rng(0)
     scores = {f"{a}{b}": float(rng.random()) for a in range(5) for b in range(a + 1, 5)}
     column = score_column(scores, "SQ")
-    full = rank_teams(column, "SQ", k=len(scores))
+    full = rank_teams(column, k=len(scores))
     for k in (1, 3, 5):
-        top = rank_teams(column, "SQ", k=k)
+        top = rank_teams(column, k=k)
         assert top == full[:k]
 
 
 def test_rank_validation():
     with pytest.raises(ValueError):
-        rank_teams(score_column({}, "SQ"), "SQ", k=1)
+        rank_teams(score_column({}, "SQ"), k=1)
     with pytest.raises(ValueError):
-        rank_teams(score_column({"12": 0.1}, "SQ"), "SQ", k=0)
-    with pytest.raises(ValueError, match="unknown metric"):
-        rank_teams(score_column({"12": 0.1}, "SQ"), "wat", k=1)
+        rank_teams(score_column({"12": 0.1}, "SQ"), k=0)
 
 
 def _sorted_keys(scores, metric):
@@ -111,10 +112,10 @@ def test_rank_column_equals_tuple_sort(pool, metric):
     teams = list(enumerate_teams(pool.n_models))
     column = score_teams(pool, cm, teams, [metric], ScoreConfig())[metric]
     expected = _sorted_keys({key: score.value for key, score in column.items()}, metric)
-    ranked = rank_teams(column, metric, k=len(teams))
+    ranked = rank_teams(column, k=len(teams))
     assert [e.team.team_key for e in ranked] == expected
     assert [e.score for e in ranked] == [column[key].value for key in expected]
-    assert [e.rank for e in rank_teams(column, metric, k=5)] == [1, 2, 3, 4, 5]
+    assert [e.rank for e in rank_teams(column, k=5)] == [1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("metric", ["CK", "QS"])
@@ -122,7 +123,7 @@ def test_rank_negative_zero_ties_with_zero(metric):
     scores = {"13": 0.0, "023": -0.0, "12": -0.0, "014": 0.0, "24": 0.5}
     expected = _sorted_keys(scores, metric)
     assert [k for k in expected if k != "24"] == ["12", "13", "014", "023"]
-    ranked = rank_teams(score_column(scores, metric), metric, k=5)
+    ranked = rank_teams(score_column(scores, metric), k=5)
     assert [e.team.team_key for e in ranked] == expected
 
 
@@ -196,7 +197,7 @@ def test_select_and_evaluate_end_to_end():
     teams = list(enumerate_teams(5))
     scores = score_teams(pool, cm, teams, ["SQ"], ScoreConfig())["SQ"]
     expected_order = rank_teams(
-        score_column({t.team_key: scores[t.team_key].value for t in teams}, "SQ"), "SQ", 3)
+        score_column({t.team_key: scores[t.team_key].value for t in teams}, "SQ"), 3)
     for row, entry in zip(report.rows, expected_order):
         assert row.team_key == entry.team.team_key
         assert row.score == entry.score
