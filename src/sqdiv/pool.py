@@ -9,8 +9,9 @@ predictions CSV per model:
     labels file    sample_id,true_label            (one row per sample)
     model file     sample_id,p_<class0>,...,p_<classC-1>
 
-A model's id is its position in "models" and its name, a string, defaults
-to model-<position>; a declared "id" is only checked not to repeat.
+Every class is a JSON string. A model's id is its position in "models"
+and its name, a string, defaults to model-<position>; a declared "id" is
+only checked not to repeat.
 Samples are joined across files by sample_id, never by row position; the
 labels file fixes the canonical sample order. Relative paths in the manifest
 resolve against the manifest's directory. Every pool file, the manifest
@@ -470,7 +471,9 @@ def _read_manifest(path):
     )
     if not isinstance(classes, list):
         raise PoolFormatError(f"manifest key 'classes' must be a list: {path}")
-    classes = [str(c) for c in classes]
+    for i, name in enumerate(classes):
+        if not isinstance(name, str):
+            raise PoolFormatError(f"manifest key 'classes' entry {i} must be a string: {path}")
     if len(classes) < 2 or len(set(classes)) != len(classes):
         raise PoolFormatError(f"manifest must list at least 2 distinct classes: {path}")
     if not isinstance(labels_path, str):

@@ -90,6 +90,46 @@ def test_simulate_repeats_identically(tmp_path, capsys):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+# Runs a second process must repeat byte for byte: capped runs draw their
+# negative sets from --seed, and an 11-model pool's team keys are hyphenated.
+_REPEATED = [
+    ["evaluate", "--pool", "../p4/manifest.json", "--neg-cap", "5", "--seed", "3"],
+    ["select", "--pool", "../p4/manifest.json", "--neg-cap", "5", "--seed", "3"],
+    ["evaluate", "--pool", "../p11/manifest.json"],
+    ["select", "--pool", "../p11/manifest.json"],
+    ["inspect", "--pool", "../p11/manifest.json", "--team", "0-3-10", "--sample", "s00003"],
+]
+_MAIN_EACH = ("import json, sys; from sqdiv.cli import main; "
+              "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+
+
+def test_a_second_process_repeats_every_byte(tmp_path, capsys, monkeypatch, package_env):
+    """Identical invocations write identical artifacts and stdout, here and
+    in another process with another string hash seed."""
+    monkeypatch.chdir(tmp_path)
+    for m in (4, 11):
+        assert run(["simulate", "--models", str(m), "--samples", "50", "--out", f"p{m}"],
+                   capsys)[0] == 0
+    argvs = [argv + ["--out", f"out{i}"] for i, argv in enumerate(_REPEATED)]
+    (tmp_path / "first").mkdir()
+    monkeypatch.chdir(tmp_path / "first")
+    stdout = []
+    for argv in argvs:
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, ""), argv
+        stdout.append(out)
+    (tmp_path / "second").mkdir()
+    env = {**package_env, "PYTHONHASHSEED": "0" if sys.flags.hash_randomization else "1"}
+    second = subprocess.run([sys.executable, "-c", _MAIN_EACH, json.dumps(argvs)],
+                            env=env, cwd=tmp_path / "second", capture_output=True, text=True,
+                            timeout=120)
+    assert (second.returncode, second.stderr) == (0, "")
+    assert second.stdout == "".join(stdout)
+    first, again = ({str(p.relative_to(d)): p.read_bytes() for p in d.rglob("*") if p.is_file()}
+                    for d in (tmp_path / "first", tmp_path / "second"))
+    assert len(first) == 17 and first == again
+
+
 def test_simulate_rejects_single_model(tmp_path, capsys):
     code, _, err = run(
         ["simulate", "--models", "1", "--out", str(tmp_path / "x")], capsys

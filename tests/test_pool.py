@@ -378,9 +378,11 @@ def _edit(name, old, new):
 
 
 # Each variant of a valid pool directory, and the error it gives (None: the
-# pool loads unchanged).
+# pool loads unchanged). Quoting the first field of every line, the header's
+# too, sends each file to csv.reader instead of np.loadtxt.
 INPUT_VARIANTS = {
     "utf-8 bom": (lambda fname, text: "\ufeff" + text, None),
+    "quoted ids": (lambda fname, text: re.sub(r"(?m)^([^,\n]*),", r'"\1",', text), None),
     "crlf": (lambda fname, text: text.replace("\n", "\r\n"), None),
     "blank lines": (lambda fname, text: "\n" + text.replace("\n", "\n\n") + "\r\n", None),
     "padded id": (
@@ -639,12 +641,34 @@ def test_repeated_declared_ids_are_refused(tmp_path, ids):
 def test_a_model_name_that_is_not_a_string_is_refused(tmp_path, capsys, name):
     """A name is a JSON string: null, a list, an object, a bool or a number
     is refused as a non-string 'id' is, not loaded as its Python repr."""
+    def edit(data):
+        data["models"][1]["name"] = name
+
+    _assert_manifest_refused(tmp_path, capsys, edit,
+                             "manifest key 'models' entry 1: 'name' must be a string")
+
+
+@pytest.mark.parametrize("value", [None, 1, 1.5, True, ["a"], {"a": 1}], ids=str)
+def test_a_class_that_is_not_a_string_is_refused(tmp_path, capsys, value):
+    """A class is a JSON string, as a model name is: a labels file spelling
+    a non-string's Python repr must not match it."""
+    def edit(data):
+        data["classes"][1] = value
+
+    _assert_manifest_refused(tmp_path, capsys, edit,
+                             "manifest key 'classes' entry 1 must be a string")
+
+
+def _assert_manifest_refused(tmp_path, capsys, edit, error):
+    """With edit(manifest data) applied to a valid pool, load_pool raises
+    PoolFormatError("<error>: <manifest>"), and evaluate exits 1 with that
+    one stderr line and writes no --out."""
     manifest = write_pool(random_pool(4, n_models=4, n_samples=30, n_classes=3),
                           tmp_path / "pool")
     data = json.loads(manifest.read_text())
-    data["models"][1]["name"] = name
+    edit(data)
     manifest.write_text(json.dumps(data))
-    message = f"manifest key 'models' entry 1: 'name' must be a string: {manifest}"
+    message = f"{error}: {manifest}"
     with pytest.raises(PoolFormatError, match=f"^{re.escape(message)}$"):
         load_pool(manifest)
     out = tmp_path / "out"
@@ -992,16 +1016,11 @@ def test_no_fork_beside_another_thread_or_without_a_process(tmp_path, monkeypatc
     assert not calls
 
 
-def _quote_ids(fname, text):
-    lines = text.splitlines(keepends=True)
-    return lines[0] + "".join(re.sub(r"^([^,]*),", r'"\1",', line) for line in lines[1:])
-
-
 # Hand-written pools that take each path of the parse a cache hit must
 # reproduce; None leaves the files as written.
 CACHED_VARIANTS = {
     "rows reordered": None,
-    "quoted ids": _quote_ids,
+    "quoted ids": INPUT_VARIANTS["quoted ids"][0],
     "utf-8 bom": INPUT_VARIANTS["utf-8 bom"][0],
     "crlf": INPUT_VARIANTS["crlf"][0],
     "drifting rows": None,
@@ -1067,6 +1086,11 @@ def test_cache_never_serves_changed_input(write_manifest, tmp_path, monkeypatch)
         _drop_cache(manifest)
         _assert_same_pool(pool, load_pool(manifest))
     assert pool.probs[1, 0].tolist() == [0.8, 0.2]
+    # A cell no float reads, beside the now stale entry: the load fails as a
+    # copy with no cache does, with the same message.
+    preds.write_text(preds.read_text().replace("0.8,0.2", "oops,0.2"))
+    assert _cache_files(manifest) == ["manifest.json.entry"]
+    _assert_loads_as_a_copy_without_cache(manifest, tmp_path / "cold")
 
 
 def _damaged_entries(entry):
