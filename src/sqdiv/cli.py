@@ -38,7 +38,7 @@ from .pool import PoolFormatError, _read_text, correctness, load_pool, write_poo
 from .scoring import ScoreConfig, normalize_metric, normalize_metrics
 from .selection import select_and_evaluate
 from .synth import SynthSpec, contiguous_groups, generate, planted_best_team
-from .teams import count_teams, make_team, parse_team_key
+from .teams import _whole, count_teams, make_team, parse_team_key
 
 _EXIT_FAILURE = 1
 _EXIT_USAGE = 2
@@ -166,7 +166,7 @@ def _read_config(path):
         raise UsageError(str(exc)) from None
     try:
         config = json.loads(text, object_pairs_hook=_folded_keys)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
@@ -329,8 +329,8 @@ def cmd_select(args):
     _require(args, "pool", "out")
     with _usage():
         metric = normalize_metric(args.metric)
-    if args.topk < 1:
-        raise UsageError("--topk must be >= 1")
+    with _usage("--topk: "):
+        _whole(args.topk, "k", 1)
     cfg = _score_config(args)
     pool, _ = _load_checked(args)
     cm = correctness(pool)

@@ -107,7 +107,7 @@ class PredictionPool:
         while names keep their predictions
     classes : tuple of class names, length C >= 2
     sample_ids : tuple of sample identifiers, length N >= 1
-    truth : int array (N,), class index per sample
+    truth : integer array (N,), class index per sample; bool or float is refused
     probs : float array (M, N, C); each row sums to 1 within ROW_SUM_TOL
     """
 
@@ -116,14 +116,14 @@ class PredictionPool:
     sample_ids: tuple[str, ...]
     truth: np.ndarray
     probs: np.ndarray
-    _fingerprint: str | None = field(default=None, repr=False, compare=False)
-    _labels: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _fingerprint: str | None = field(init=False, default=None, repr=False, compare=False)
+    _labels: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.models = tuple(str(name) for name in self.models)
         self.classes = tuple(str(c) for c in self.classes)
         self.sample_ids = tuple(str(s) for s in self.sample_ids)
-        self.truth = np.asarray(self.truth, dtype=np.int64)
+        self.truth = np.asarray(self.truth)
         self.probs = np.asarray(self.probs, dtype=np.float64)
 
         m, n, c = len(self.models), len(self.sample_ids), len(self.classes)
@@ -140,6 +140,9 @@ class PredictionPool:
             )
         if self.truth.shape != (n,):
             raise PoolFormatError("truth length does not match sample count")
+        if not np.issubdtype(self.truth.dtype, np.integer):
+            raise PoolFormatError(f"truth must hold integer class indices, not {self.truth.dtype}")
+        self.truth = self.truth.astype(np.int64)
         if len(set(self.classes)) != c:
             raise PoolFormatError("duplicate class names")
         if len(set(self.sample_ids)) != n:
@@ -458,7 +461,7 @@ def _read_manifest(path):
     # JSON error names the same line, column and character.
     try:
         manifest = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise PoolFormatError(f"manifest is not valid JSON: {path}: {exc}") from None
     if not isinstance(manifest, dict):
         raise PoolFormatError(f"manifest must hold a JSON object: {path}")

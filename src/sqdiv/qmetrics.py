@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .teams import _member_ids
+from .teams import _member_ids, _whole
 
 ANY_MEMBER_ERRS = "any-member-errs"
 FOCAL_ERRS = "focal-errs"
@@ -58,15 +58,19 @@ class UndefinedDiversityError(ValueError):
 class NegativeSampleSet:
     """Deterministic sample subset for diversity evaluation.
 
-    In any-member-errs mode every included sample has at least one team
-    member wrong; in focal-errs mode the focal model is wrong on every
-    included sample. With a cap, a uniform subset of the qualifying samples
-    is drawn from the given seed; identical inputs give identical sets.
+    Without a focal_id (any-member-errs mode) every included sample has at
+    least one team member wrong; with one (focal-errs mode) the focal model
+    is wrong on every included sample. With a cap, a uniform subset of the
+    qualifying samples is drawn from the given seed; identical inputs give
+    identical sets.
     """
 
     sample_indices: tuple[int, ...]
-    mode: str
     focal_id: int | None
+
+    @property
+    def mode(self):
+        return ANY_MEMBER_ERRS if self.focal_id is None else FOCAL_ERRS
 
     def __len__(self):
         return len(self.sample_indices)
@@ -80,38 +84,30 @@ class DiversityScore:
     note: str | None = None
 
 
-def negative_samples(cm, team, mode=ANY_MEMBER_ERRS, seed=0, cap=None, focal_id=None):
-    """Collect the qualifying sample subset for a team.
+def negative_samples(cm, team, seed=0, cap=None, focal_id=None):
+    """Collect the qualifying sample subset for a team: the samples some
+    member gets wrong, or with a focal_id, which must be a member, the
+    samples that model gets wrong.
 
     Returns every qualifying sample when cap is None, otherwise a uniform
     random subset of size min(cap, qualifying count) drawn with the seed.
     An empty qualifying set is not an error; callers decide what it means.
-    team and focal_id are checked as teams.make_team checks a team; a
-    focal_id is refused in any-member-errs mode, which has no focal.
+    team and focal_id are checked as teams.make_team checks a team, cap and
+    seed by teams._whole.
     """
     members = _member_ids(team, cm.n_models)
-    if mode == ANY_MEMBER_ERRS:
-        if focal_id is not None:
-            raise ValueError("any-member-errs mode takes no focal_id")
+    seed = _whole(seed, "seed", 0)
+    if focal_id is None:
         qualifying = np.flatnonzero(~cm.bits[list(members)].all(axis=0))
-    elif mode == FOCAL_ERRS:
-        if focal_id is None or _member_ids([focal_id], cm.n_models, 1)[0] not in members:
-            raise ValueError("focal-errs mode needs a focal_id within the team")
-        qualifying = np.flatnonzero(~cm.bits[int(focal_id)])
     else:
-        raise ValueError(f"unknown negative-sampling mode: {mode!r}")
-    if cap is not None:
-        if cap < 1:
-            raise ValueError("cap must be a positive integer")
-        if cap < qualifying.size:
-            rng = np.random.default_rng(seed)
-            keep = rng.choice(qualifying.size, size=cap, replace=False)
-            qualifying = np.sort(qualifying[keep])
-    return NegativeSampleSet(
-        sample_indices=tuple(qualifying.tolist()),
-        mode=mode,
-        focal_id=None if mode == ANY_MEMBER_ERRS else int(focal_id),
-    )
+        (focal_id,) = _member_ids([focal_id], cm.n_models, 1)
+        if focal_id not in members:
+            raise ValueError(f"focal_id {focal_id} is not a member of team {members}")
+        qualifying = np.flatnonzero(~cm.bits[focal_id])
+    if cap is not None and _whole(cap, "cap", 1) < qualifying.size:
+        keep = np.random.default_rng(seed).choice(qualifying.size, size=cap, replace=False)
+        qualifying = np.sort(qualifying[keep])
+    return NegativeSampleSet(sample_indices=tuple(qualifying.tolist()), focal_id=focal_id)
 
 
 def gram(bits):

@@ -51,9 +51,7 @@ import numpy as np
 
 from .pool import CorrectnessMatrix
 from .qmetrics import (
-    ANY_MEMBER_ERRS,
     CLASSICAL,
-    FOCAL_ERRS,
     DiversityScore,
     UndefinedDiversityError,
     classical_batch,
@@ -62,7 +60,7 @@ from .qmetrics import (
     negative_samples,
     row_mean,
 )
-from .teams import make_team, team_plan
+from .teams import _whole, make_team, team_plan
 
 METRICS = (*CLASSICAL, "SQ")
 # The note a GD score carries when no member fails on any sample.
@@ -111,11 +109,12 @@ class ScoreConfig:
 
     w_epsilon and w_alpha weight the two SQ components and must be finite
     and non-negative. negative_cap, when set, caps every negative sample
-    set at a uniform subset of that size drawn from seed, a non-negative
-    integer. use_full_set evaluates the classical metrics on all samples
-    instead of the team's negative samples. alpha_on_labels switches SQ's
-    agreement component between predicted labels (default) and correctness
-    outcomes.
+    set at a uniform subset of that size drawn from seed; teams._whole
+    checks both, the cap positive and the seed non-negative, and they are
+    kept as ints. use_full_set evaluates the classical metrics on all
+    samples instead of the team's negative samples. alpha_on_labels
+    switches SQ's agreement component between predicted labels (default)
+    and correctness outcomes.
     """
 
     w_epsilon: float = 1.0
@@ -128,10 +127,9 @@ class ScoreConfig:
     def __post_init__(self):
         if not all(math.isfinite(w) and w >= 0 for w in (self.w_epsilon, self.w_alpha)):
             raise ValueError("weights must be finite and non-negative")
-        if self.negative_cap is not None and self.negative_cap < 1:
-            raise ValueError("negative_cap must be a positive integer")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        if self.negative_cap is not None:
+            object.__setattr__(self, "negative_cap", _whole(self.negative_cap, "negative_cap", 1))
+        object.__setattr__(self, "seed", _whole(self.seed, "seed", 0))
 
 
 class ScoreColumn(Mapping):
@@ -222,7 +220,7 @@ def _classical(cm, plan, metrics, cfg):
         if capped:
             grams = []
             for position, ids in zip(positions, members):
-                neg = negative_samples(cm, ids, ANY_MEMBER_ERRS, cfg.seed, cfg.negative_cap)
+                neg = negative_samples(cm, ids, cfg.seed, cfg.negative_cap)
                 grams.append(gram(cm.bits[ids][:, list(neg.sample_indices)]))
                 n[position] = len(neg)
             counts = np.stack(grams)
@@ -296,10 +294,7 @@ class _FocalTables:
         self.acc = np.zeros((m, m))
         self.kappa = np.zeros((m, m, m))
         for f in models:
-            neg = negative_samples(
-                cm, models, mode=FOCAL_ERRS, seed=cfg.seed,
-                cap=cfg.negative_cap, focal_id=f,
-            )
+            neg = negative_samples(cm, models, cfg.seed, cfg.negative_cap, focal_id=f)
             idx = np.array(neg.sample_indices, dtype=np.int64)
             n = self.counts[f] = idx.size
             if not n:

@@ -22,6 +22,7 @@ from .scoring import (
 from .teams import (
     SOFT,
     EnsembleTeam,
+    _whole,
     consensus,
     enumerate_teams,
     normalize_method,
@@ -60,12 +61,11 @@ def rank_teams(scores, k):
     the top k entries.
 
     scores is one metric's ScoreColumn from score_teams; only its metric,
-    team_keys, team_sizes and array are read. k larger than the column
-    returns every team.
+    team_keys, team_sizes and array are read. k, a positive integer by
+    teams._whole, larger than the column returns every team.
     """
     metric = scores.metric
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _whole(k, "k", 1)
     keys, values = scores.team_keys, scores.array
     if not len(keys):
         raise ValueError("rank_teams needs a non-empty score column")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pool import PredictionPool
-from .teams import make_team
+from .teams import _whole, make_team
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,8 @@ class SynthSpec:
         object.__setattr__(
             self, "groups", tuple(tuple(int(i) for i in g) for g in self.groups)
         )
-        if self.n_models < 2:
-            raise ValueError("need at least 2 models")
-        if self.n_samples < 1:
-            raise ValueError("need at least 1 sample")
-        if self.n_classes < 2:
-            raise ValueError("need at least 2 classes")
+        for name, least in (("n_models", 2), ("n_samples", 1), ("n_classes", 2), ("seed", 0)):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, least))
         if len(self.base_accuracy) != self.n_models:
             raise ValueError("base_accuracy must list one value per model")
         if any(not 0.0 < a < 1.0 for a in self.base_accuracy):
@@ -73,8 +69,6 @@ class SynthSpec:
             raise ValueError("complement_strength must lie in [0, 1]")
         if not 1.0 / self.n_classes < self.peak_mass <= 1.0:
             raise ValueError("peak_mass must lie in (1/C, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
         boost = 1.0 + self.complement_strength * (len(self.groups) - 1)
         worst = max(1.0 - a for a in self.base_accuracy) * boost
         if worst > 1.0:
@@ -86,8 +80,7 @@ class SynthSpec:
 
 def contiguous_groups(n_models, n_groups):
     """Split model ids 0..M-1 into n_groups contiguous, near-equal groups."""
-    if n_groups < 1 or n_groups > n_models:
-        raise ValueError("n_groups must lie in [1, n_models]")
+    n_groups = _whole(n_groups, "n_groups", 1, n_models)
     return tuple(
         tuple(int(i) for i in chunk)
         for chunk in np.array_split(np.arange(n_models), n_groups)

@@ -68,15 +68,30 @@ def team_key_for(member_ids, n_models):
     return ("" if n_models <= 10 else "-").join(map(str, member_ids))
 
 
+def _whole(value, name, least=-math.inf, most=math.inf):
+    """value as an int: the library's one whole-number rule, for every
+    count, size, cap and seed. ValueError naming `name` unless value is an
+    int or an np.integer (a bool is not, nor is a float of whole value)
+    from least to most."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not least <= value <= most):
+        bounds = (f"an integer from {least} to {most}" if most < math.inf
+                  else ("a non-negative integer", "a positive integer")[least] if least in (0, 1)
+                  else f"an integer >= {least}")
+        raise ValueError(f"{name} must be {bounds}, got {value!r}")
+    return int(value)
+
+
 def _member_ids(team, n_models, least=2):
     """The member ids of team, an EnsembleTeam or a sequence of ids, sorted,
     as ints: the library's one member-id check. ValueError on an id that is
-    not an integer (a bool is not), a repeated id, fewer than `least` ids or
-    an id outside the pool's n_models."""
+    not an integer by _whole's rule, a repeated id, fewer than `least` ids
+    or an id outside the pool's n_models."""
     ids = tuple(team)
-    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in ids):
-        raise ValueError(f"team member ids must be integers, got {ids!r}")
-    ids = tuple(sorted(int(i) for i in ids))
+    try:
+        ids = tuple(sorted(_whole(i, "a member id") for i in ids))
+    except ValueError:
+        raise ValueError(f"team member ids must be integers, got {ids!r}") from None
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate member ids in team")
     if len(ids) < least:
@@ -108,14 +123,11 @@ def parse_team_key(key):
 
 
 def _size_bounds(n_models, min_size, max_size):
-    if max_size is None:
-        max_size = n_models
-    if not 2 <= min_size <= max_size <= n_models:
-        raise ValueError(
-            f"need 2 <= min_size <= max_size <= n_models, got "
-            f"min_size={min_size} max_size={max_size} n_models={n_models}"
-        )
-    return min_size, max_size
+    """(n_models, min_size, max_size) as ints by _whole; max_size None is n_models."""
+    n_models = _whole(n_models, "n_models", 2)
+    min_size = _whole(min_size, "min_size", 2, n_models)
+    max_size = n_models if max_size is None else _whole(max_size, "max_size", min_size, n_models)
+    return n_models, min_size, max_size
 
 
 # Teams are handled in batches of one size whose temporaries stay near this
@@ -191,7 +203,7 @@ def enumerate_teams(n_models, min_size=2, max_size=None):
     The plan holds 8 * k bytes of member ids per team of size k, and one
     team key string per team.
     """
-    min_size, max_size = _size_bounds(n_models, min_size, max_size)
+    n_models, min_size, max_size = _size_bounds(n_models, min_size, max_size)
     groups, start = [], 0
     for k in range(min_size, max_size + 1):
         count = math.comb(n_models, k)
@@ -205,7 +217,7 @@ def enumerate_teams(n_models, min_size=2, max_size=None):
 
 def count_teams(n_models, min_size=2, max_size=None):
     """Number of teams enumerate_teams yields, by formula."""
-    min_size, max_size = _size_bounds(n_models, min_size, max_size)
+    n_models, min_size, max_size = _size_bounds(n_models, min_size, max_size)
     return sum(math.comb(n_models, k) for k in range(min_size, max_size + 1))
 
 

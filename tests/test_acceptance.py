@@ -20,7 +20,7 @@ import _reference as ref
 from _pools import pool_from_labels, pool_from_probs, random_pool, score_column
 from sqdiv.analytics import pearson
 from sqdiv.pool import correctness, load_pool, model_accuracy, write_pool
-from sqdiv.qmetrics import FOCAL_ERRS, negative_samples
+from sqdiv.qmetrics import negative_samples
 from sqdiv.scoring import ScoreConfig, classical_scores, score_team, score_teams
 from sqdiv.selection import rank_teams
 from sqdiv.synth import default_spec, generate
@@ -159,7 +159,7 @@ def test_degenerate_team_suite():
         perfect_cm = correctness(perfect)
         pair = make_team([0, 1], 2)
         assert len(negative_samples(perfect_cm, pair)) == 0
-        assert len(negative_samples(perfect_cm, pair, mode=FOCAL_ERRS, focal_id=0)) == 0
+        assert len(negative_samples(perfect_cm, pair, focal_id=0)) == 0
         breakdown = score_team(perfect, perfect_cm, pair, "SQ").detail
         assert breakdown.aggregate == 0.0
         assert breakdown.all_skipped
@@ -180,7 +180,7 @@ def test_sq_epsilon_identity_100_triples():
             members = tuple(sorted(rng.choice(m, size=size, replace=False).tolist()))
             team = make_team(members, m)
             focal = int(members[int(rng.integers(0, size))])
-            neg = negative_samples(cm, team, mode=FOCAL_ERRS, focal_id=focal)
+            neg = negative_samples(cm, team, focal_id=focal)
             if len(neg) == 0:
                 continue
             idx = list(neg.sample_indices)

@@ -647,7 +647,14 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, message)
     (lambda path: path.write_text("[1]"), "config file must hold a JSON object\n"),
     (lambda path: path.write_bytes(b'{"topk": 3}\xff'), "config file is not UTF-8 text: {}\n"),
     (lambda path: path.mkdir(), "config path is not a file: {}\n"),
-], ids=["missing", "invalid-json", "not-an-object", "not-utf8", "directory"])
+    (lambda path: path.write_text("[" * 200_000),
+     "config file is not valid JSON: maximum recursion depth"),
+    pytest.param(lambda path: path.write_text('{"topk": 1' + "0" * 5_000 + "}"),
+                 "config file is not valid JSON: Exceeds the limit",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="no integer digit limit before 3.10.7")),
+], ids=["missing", "invalid-json", "not-an-object", "not-utf8", "directory", "deeply-nested",
+        "5001-digit-integer"])
 def test_unreadable_config_is_usage_error(sim_pool, tmp_path, capsys, write, message):
     path = tmp_path / "cfg.json"
     write(path)

@@ -14,13 +14,14 @@ import csv
 import io
 import json
 import random
+import shutil
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sqdiv.cli import main
-from sqdiv.pool import write_pool
+from sqdiv.pool import _entry_path, correctness, load_pool, write_pool
 from sqdiv.teams import parse_team_key, team_key_for
 
 from _pools import random_pool
@@ -39,6 +40,25 @@ RUNS = {**EVALUATE_RUNS, "select": ["select", "--metric", "sq", "--topk", "5"],
 
 pools = st.tuples(st.integers(0, 10_000), st.integers(3, 6), st.integers(30, 200),
                   st.integers(2, 4))
+
+
+def _inspect_runs(pool, rng):
+    """inspect, soft and majority, on one team and one sample drawn by rng."""
+    team = sorted(rng.sample(range(pool.n_models), rng.randint(2, pool.n_models)))
+    argv = ["inspect", "--team", team_key_for(team, pool.n_models),
+            "--sample", rng.choice(pool.sample_ids)]
+    return {"inspect": argv, "inspect-majority": argv + ["--consensus", "majority"]}
+
+
+def _assert_fresh_cache_entry(manifest, stale, base):
+    """The cache entry beside `manifest`, which write_pool keyed on the bytes
+    before an edit (`stale`), is now the entry a load of a cache-less copy
+    of the edited files writes."""
+    copy = base / "cache-less"
+    shutil.copytree(manifest.parent, copy, ignore=shutil.ignore_patterns(".sqdiv-cache"))
+    load_pool(copy / manifest.name)
+    fresh = _entry_path(manifest).read_bytes()
+    assert fresh == _entry_path(copy / manifest.name).read_bytes() and fresh != stale
 
 
 def _run(argv, manifest, out):
@@ -70,20 +90,23 @@ def _edit_manifest(manifest, edit):
 def test_shuffled_model_file_rows_change_no_artifact(tmp_path_factory, shape):
     """(a) Model files are joined to the labels file by sample id, so
     shuffling their data rows, and not the labels file's, leaves every
-    artifact of evaluate and select byte-identical, capped ones included:
-    a capped draw is over positions in the labels file's order."""
+    artifact of evaluate, select and inspect byte-identical, capped ones
+    included: a capped draw is over positions in the labels file's order.
+    The cache entry write_pool left is replaced, never served."""
     seed, m, n, c = shape
     pool = random_pool(seed, m, n, c)
     base = tmp_path_factory.mktemp("shuffle")
     original = write_pool(pool, base / "original")
     shuffled = write_pool(pool, base / "shuffled")
+    stale = _entry_path(shuffled).read_bytes()
     rng = random.Random(seed)
     for i in range(m):
         _edit_lines(shuffled.parent / f"model_{i:02d}.csv",
                     lambda header, rows: [header, *rng.sample(rows, len(rows))])
-    for name, argv in RUNS.items():
+    for name, argv in {**RUNS, **_inspect_runs(pool, rng)}.items():
         assert (_run(argv, shuffled, base / f"{name}-shuffled")
                 == _run(argv, original, base / f"{name}-original")), name
+    _assert_fresh_cache_entry(shuffled, stale, base)
 
 
 @settings(max_examples=15, deadline=None)
@@ -177,12 +200,14 @@ def test_an_appended_all_right_sample_keeps_every_score(tmp_path_factory, shape)
     """(c) A sample on which every model puts probability 1 on the truth is
     in no negative set and comes last, so every score column stays
     byte-identical, capped ones included, and each team's accuracy becomes
-    exactly (hits + 1) / (N + 1)."""
+    exactly (hits + 1) / (N + 1). inspect on another sample writes the same
+    bytes, and the cache entry write_pool left is replaced, never served."""
     seed, m, n, c = shape
     pool = random_pool(seed, m, n, c)
     base = tmp_path_factory.mktemp("append")
     original = write_pool(pool, base / "original")
     appended = write_pool(pool, base / "appended")
+    stale = _entry_path(appended).read_bytes()
     truth = seed % c
     _edit_lines(appended.parent / "labels.csv",
                 lambda header, rows: [header, *rows, f"extra,{pool.classes[truth]}\r\n".encode()])
@@ -198,3 +223,44 @@ def test_an_appended_all_right_sample_keeps_every_score(tmp_path_factory, shape)
             assert [row[:3] for row in after[file]] == [row[:3] for row in rows], (name, file)
             hits = [round(float(row[3]) * n) for row in rows]
             assert [float(row[3]) for row in after[file]] == [(h + 1) / (n + 1) for h in hits]
+    for name, argv in _inspect_runs(pool, random.Random(seed)).items():
+        assert (_run(argv, appended, base / f"{name}-appended")
+                == _run(argv, original, base / f"{name}-original")), name
+    _assert_fresh_cache_entry(appended, stale, base)
+
+
+@settings(max_examples=15, deadline=None)
+@given(shape=pools)
+def test_a_cloned_model_adds_teams_and_moves_no_other_row(tmp_path_factory, shape):
+    """(e) Appending a copy of model m's file to the manifest adds model M,
+    a clone, and the teams that hold it. Every row of a team without the
+    clone stays byte-identical: its scores, capped draws and vote read only
+    its own members. On negative sets, all wrong for both, the pair
+    {m, clone} scores 0 on all six metrics; on every sample its members
+    always agree, so QS is 1 and the other five 0."""
+    seed, m, n, c = shape
+    pool = random_pool(seed, m, n, c)
+    model = seed % m
+    bits = correctness(pool).bits[model]
+    assume(not bits.all() and bits.any())
+    base = tmp_path_factory.mktemp("clone")
+    original = write_pool(pool, base / "original")
+    cloned = write_pool(pool, base / "cloned")
+    shutil.copyfile(cloned.parent / f"model_{model:02d}.csv", cloned.parent / "clone.csv")
+    _edit_manifest(cloned, lambda data: data["models"].append(
+        {"id": m, "name": "clone", "predictions_path": "clone.csv"}))
+    pair = team_key_for([model, m], m + 1)
+    full_set = {"full-set": ["evaluate", "--full-set"]}
+    for name, argv in {**EVALUATE_RUNS, **full_set}.items():
+        after = _run(argv, cloned, base / f"{name}-cloned")[1]
+        if name in EVALUATE_RUNS:
+            before = _run(argv, original, base / f"{name}-original")[1]
+            for file, data in before.items():
+                if file.startswith("scatter_"):
+                    kept = [line for line in after[file].splitlines(keepends=True)
+                            if str(m) not in line.split(b",")[0].decode()]
+                    assert kept == data.splitlines(keepends=True), (name, file)
+        for file, rows in _scatter(after).items():
+            score = {team: float(score) for team, _, score, _ in rows}[pair]
+            expected = 1.0 if name in full_set and file == "scatter_qs.csv" else 0.0
+            assert score == expected, (name, file)

@@ -6,6 +6,7 @@ import os
 import re
 import shutil
 import signal
+import sys
 import threading
 import warnings
 
@@ -125,6 +126,11 @@ def test_missing_files_and_small_manifests(tmp_path, write_manifest):
             load_pool(manifest)
 
 
+# json.loads refuses an integer past 4,300 digits only from Python 3.10.7.
+_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                  reason="no integer digit limit")
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda text: "{", "manifest is not valid JSON: {}: Expecting property name"),
     (lambda text: "[]", "manifest must hold a JSON object: {}"),
@@ -133,7 +139,11 @@ def test_missing_files_and_small_manifests(tmp_path, write_manifest):
     (lambda text: text.replace('"preds_1.csv"', '""'),
      "manifest key 'models' entry 1: 'predictions_path' must be a non-empty string: {}"),
     (lambda text: text.replace('"id": 1', '"id": 0'), "duplicate model ids in manifest: {}"),
-], ids=["invalid-json", "not-an-object", "missing-key", "one-class", "empty-path", "repeated-id"])
+    (lambda text: "[" * 200_000, "manifest is not valid JSON: {}: maximum recursion depth"),
+    pytest.param(lambda text: text.replace('"id": 1', '"id": 1' + "0" * 5_000),
+                 "manifest is not valid JSON: {}: Exceeds the limit", marks=_DIGIT_LIMIT),
+], ids=["invalid-json", "not-an-object", "missing-key", "one-class", "empty-path", "repeated-id",
+        "deeply-nested", "5001-digit-integer"])
 def test_manifest_faults_name_the_manifest(write_manifest, edit, message):
     manifest = write_manifest(
         classes=["a", "b"],
@@ -169,13 +179,22 @@ def _pool_args(**changes):
     ({"sample_ids": ("x", "x")}, "duplicate sample ids"),
     ({"truth": [0, 2]}, "truth entry is not a valid class index"),
     ({"truth": [-1, 0]}, "truth entry is not a valid class index"),
+    ({"truth": [0.6, 1.9]}, "truth must hold integer class indices, not float64"),
+    ({"truth": [False, True]}, "truth must hold integer class indices, not bool"),
 ], ids=["one-model", "one-class", "no-sample", "shape", "truth-length", "repeated-class",
-        "repeated-sample", "truth-too-high", "truth-negative"])
+        "repeated-sample", "truth-too-high", "truth-negative", "truth-float", "truth-bool"])
 def test_constructor_rejects_inconsistent_pools(changes, message):
     PredictionPool(**_pool_args())
     with pytest.raises(PoolFormatError) as info:
         PredictionPool(**_pool_args(**changes))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("cache", ["_fingerprint", "_labels"])
+def test_constructor_takes_no_cache(cache):
+    """A pool's caches are what its probs fix, so no caller sets them."""
+    with pytest.raises(TypeError, match=cache):
+        PredictionPool(**_pool_args(), **{cache: None})
 
 
 def test_manifest_that_is_not_utf8_names_the_manifest(tiny_pool, tmp_path):

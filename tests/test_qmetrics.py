@@ -47,15 +47,16 @@ def test_negative_samples_any_member():
 
 def test_negative_samples_focal():
     cm = make_cm([(1, 1, 0), (1, 0, 1)])
-    neg = negative_samples(cm, (0, 1), mode=FOCAL_ERRS, focal_id=0)
+    neg = negative_samples(cm, (0, 1), focal_id=0)
     assert neg.sample_indices == (2,)
     assert neg.focal_id == 0
+    assert neg.mode == FOCAL_ERRS
 
 
 def test_negative_samples_all_correct_is_empty():
     cm = make_cm([(1, 1, 1), (1, 1, 1)])
     assert negative_samples(cm, (0, 1)).sample_indices == ()
-    assert negative_samples(cm, (0, 1), mode=FOCAL_ERRS, focal_id=1).sample_indices == ()
+    assert negative_samples(cm, (0, 1), focal_id=1).sample_indices == ()
 
 
 def test_negative_samples_cap_and_seed():
@@ -76,27 +77,19 @@ def test_negative_samples_validation():
     cm = make_cm([(1, 0), (0, 1)])
     with pytest.raises(ValueError, match="outside the pool"):
         negative_samples(cm, (0, 5))
-    with pytest.raises(ValueError, match="focal"):
-        negative_samples(cm, (0, 1), mode=FOCAL_ERRS, focal_id=None)
     # A focal id is checked as make_team checks a member id: 1.0 and True are
     # not model 1.
     for focal in (1.0, True, np.bool_(True), 1.5, -1, 2):
         with pytest.raises(ValueError):
-            negative_samples(cm, (0, 1), mode=FOCAL_ERRS, focal_id=focal)
-    assert negative_samples(cm, (0, 1), mode=FOCAL_ERRS, focal_id=np.int64(1)).focal_id == 1
-    with pytest.raises(ValueError, match="mode"):
-        negative_samples(cm, (0, 1), mode="sideways")
+            negative_samples(cm, (0, 1), focal_id=focal)
+    assert negative_samples(cm, (0, 1), focal_id=np.int64(1)).focal_id == 1
+    with pytest.raises(ValueError, match="^focal_id 2 is not a member of team"):
+        negative_samples(make_cm([(1, 0), (0, 1), (0, 0)]), (0, 1), focal_id=2)
+    # A focal_id alone decides the mode.
+    with pytest.raises(TypeError, match="mode"):
+        negative_samples(cm, (0, 1), mode=FOCAL_ERRS, focal_id=0)
     with pytest.raises(ValueError, match="cap"):
         negative_samples(cm, (0, 1), cap=0)
-
-
-@pytest.mark.parametrize("focal", [0, 1.9, True])
-def test_any_member_mode_refuses_a_focal_id(focal):
-    """Only focal-errs mode has a focal; any-member-errs refuses one rather
-    than ignore it."""
-    cm = make_cm([(1, 0), (0, 1)])
-    with pytest.raises(ValueError, match="any-member-errs mode takes no focal_id"):
-        negative_samples(cm, (0, 1), focal_id=focal)
 
 
 # --- contingency -------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import _reference as ref
 from _pools import pool_from_labels, pool_from_probs, random_pool
 from sqdiv.pool import correctness
-from sqdiv.qmetrics import FOCAL_ERRS, kappa, negative_samples
+from sqdiv.qmetrics import kappa, negative_samples
 from sqdiv.scoring import ScoreConfig, score_team
 from sqdiv.teams import make_team
 
@@ -155,7 +155,7 @@ def test_sq_epsilon_identity(seed):
     cm = correctness(pool)
     team = make_team(range(m), m)
     focal = int(rng.integers(0, m))
-    neg = negative_samples(cm, team, mode=FOCAL_ERRS, focal_id=focal)
+    neg = negative_samples(cm, team, focal_id=focal)
     if len(neg) == 0:
         return
     idx = list(neg.sample_indices)

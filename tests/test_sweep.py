@@ -29,7 +29,6 @@ from sqdiv.analytics import correlation_report, sweep
 from sqdiv.cli import main
 from sqdiv.pool import correctness, write_pool
 from sqdiv.qmetrics import (
-    FOCAL_ERRS,
     UndefinedDiversityError,
     kappa,
     negative_samples,
@@ -89,7 +88,7 @@ def _focal_terms(pool, cm, members, focal, cfg):
     """sq_epsilon and sq_alpha of one focal, computed on its own: the mean
     share of the focal's negative set each non-focal member gets right, and
     the mean multiclass_kappa of the non-focal pairs on that set."""
-    neg = negative_samples(cm, members, mode=FOCAL_ERRS, seed=cfg.seed,
+    neg = negative_samples(cm, members, seed=cfg.seed,
                            cap=cfg.negative_cap, focal_id=focal)
     idx = list(neg.sample_indices)
     others = [a for a in members if a != focal]
@@ -260,7 +259,7 @@ def test_batch_paths_reject_bad_teams(ids, key):
             *(lambda m=m: consensus(pool, ids, m) for m in (SOFT, MAJORITY)),
             *(lambda m=m: score_team(pool, cm, ids, m) for m in ("BD", "SQ")),
             lambda: negative_samples(cm, ids),
-            lambda: negative_samples(cm, ids, FOCAL_ERRS, focal_id=focal),
+            lambda: negative_samples(cm, ids, focal_id=focal),
         ]
         for refusal in refusals:
             with pytest.raises(ValueError):

@@ -1,11 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference as ref
-from _pools import pool_from_probs, random_pool
-from sqdiv.synth import default_spec, generate
+from _pools import make_cm, pool_from_probs, random_pool, score_column
+from sqdiv.analytics import correlation_report, sweep
+from sqdiv.pool import correctness
+from sqdiv.qmetrics import negative_samples
+from sqdiv.scoring import ScoreConfig
+from sqdiv.selection import rank_teams, select_and_evaluate
+from sqdiv.synth import contiguous_groups, default_spec, generate
 from sqdiv.teams import (
     MAJORITY,
     SOFT,
@@ -238,3 +245,51 @@ def test_consensus_rejects_bad_teams(team, message):
             consensus(pool, team, method)
         with pytest.raises(ValueError, match=message):
             consensus(pool, EnsembleTeam(member_ids=team, team_key="x"), method)
+
+
+_SPEC = default_spec(n_models=4, n_samples=40, n_classes=3, n_groups=2, seed=1)
+_POOL = generate(_SPEC)
+_CM = correctness(_POOL)
+_COLUMN = score_column({"01": 0.5, "02": 0.25, "12": 0.75}, "BD")
+
+# Every whole-number argument of the library: (call taking the value, the
+# name its refusal gives, its least valid value, its greatest or None, a
+# valid value).
+WHOLE_NUMBERS = {
+    "ScoreConfig-negative_cap": (lambda v: ScoreConfig(negative_cap=v), "negative_cap", 1, None, 3),
+    "ScoreConfig-seed": (lambda v: ScoreConfig(seed=v), "seed", 0, None, 3),
+    "negative_samples-cap": (lambda v: negative_samples(_CM, (0, 1, 2), cap=v), "cap", 1, None, 3),
+    "negative_samples-seed": (lambda v: negative_samples(_CM, (0, 1, 2), seed=v, cap=3),
+                              "seed", 0, None, 3),
+    **{f"SynthSpec-{name}": ((lambda v, name=name: dataclasses.replace(_SPEC, **{name: v})),
+                             name, least, None, valid)
+       for name, least, valid in (("n_models", 2, 4), ("n_samples", 1, 40),
+                                  ("n_classes", 2, 3), ("seed", 0, 1))},
+    "contiguous_groups-n_groups": (lambda v: contiguous_groups(4, v), "n_groups", 1, 4, 2),
+    "enumerate_teams-n_models": (lambda v: enumerate_teams(v).team_keys, "n_models", 2, None, 4),
+    "enumerate_teams-min_size": (lambda v: enumerate_teams(4, v).team_keys, "min_size", 2, 4, 3),
+    "enumerate_teams-max_size": (lambda v: enumerate_teams(4, 3, v).team_keys,
+                                 "max_size", 3, 4, 3),
+    "count_teams-n_models": (lambda v: count_teams(v), "n_models", 2, None, 5),
+    "count_teams-max_size": (lambda v: count_teams(4, 2, v), "max_size", 2, 4, 3),
+    "sweep-min_size": (lambda v: sweep(_POOL, _CM, ["BD"], min_size=v).team_keys,
+                       "min_size", 2, 4, 3),
+    "correlation_report-max_size": (lambda v: correlation_report(_POOL, _CM, ["KW"], max_size=v),
+                                    "max_size", 2, 4, 3),
+    "rank_teams-k": (lambda v: rank_teams(_COLUMN, v), "k", 1, None, 2),
+    "select_and_evaluate-k": (lambda v: select_and_evaluate(_POOL, _CM, "BD", k=v).rows,
+                              "k", 1, None, 2),
+}
+
+
+@pytest.mark.parametrize("case", WHOLE_NUMBERS)
+def test_every_whole_number_argument_has_one_rule(case):
+    """Every count, size, cap and seed is an int or an np.integer, never a
+    bool or a float of whole value, within its bounds; a refusal is one
+    ValueError naming the argument, and an np.int64 acts as the equal int."""
+    call, name, least, most, valid = WHOLE_NUMBERS[case]
+    bad = [2.5, np.float64(2.0), True, np.bool_(True), "2", least - 1]
+    for value in bad + ([] if most is None else [most + 1]):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call(value)
+    assert call(np.int64(valid)) == call(valid)
